@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -38,13 +39,11 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"-invperiod", "0"},
 		{"-maxcycles", "-1"},
 		{"-events"}, // -events without -telemetry
-		{"-shards", "bogus"},
-		{"-shards", "-2"},
 		{"-ckptperiod", "-1"},
 		{"-ckptperiod", "1000"}, // -ckptperiod without -ckpt
 		{"-resume"},             // -resume without -ckpt
-		{"-shards", "2", "-prof", "-ckpt", "x", "-ckptperiod", "1000"},
-		{"-shards", "2", "-prof", "-ckpt", "x", "-resume"},
+		{"-shards", "2"},        // unknown flag
+		{"-prof"},
 	}
 	for _, args := range cases {
 		code, _, stderr := runCLI(args...)
@@ -122,34 +121,33 @@ func TestFaultedRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestShardedCLIByteIdentity pins the acceptance criterion at the CLI
-// surface: -shards 4 and -shards 1 (and auto) print byte-identical
-// reports, with faults off and on, and the sharded runs stay
-// byte-reproducible run to run.
-func TestShardedCLIByteIdentity(t *testing.T) {
-	for _, faults := range [][]string{nil, {"-faults", "default", "-faultseed", "7"}} {
-		base := append([]string{"-scale", "tiny", "-cores", "4", "-invariants"}, faults...)
-		code, ref, stderr := runCLI(append(base, "-shards", "1")...)
-		if code != 0 {
-			t.Fatalf("-shards 1 %v: exit %d, stderr %q", faults, code, stderr)
+// TestBusBusyIsPerChannel pins the "bus busy" figure to the mean
+// per-channel fraction.  HIST on Alloy keeps every channel of both
+// interfaces busy most of the run, so a figure summed over channels
+// would print well above 100%.
+func TestBusBusyIsPerChannel(t *testing.T) {
+	code, stdout, stderr := runCLI("-workload", "HIST", "-arch", "Alloy", "-scale", "tiny", "-cores", "4")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	lines := 0
+	for _, line := range strings.Split(stdout, "\n") {
+		before, _, ok := strings.Cut(line, "% bus busy")
+		if !ok {
+			continue
 		}
-		for _, n := range []string{"4", "auto"} {
-			code, got, stderr := runCLI(append(base, "-shards", n)...)
-			if code != 0 {
-				t.Fatalf("-shards %s %v: exit %d, stderr %q", n, faults, code, stderr)
-			}
-			if stripWall(got) != stripWall(ref) {
-				t.Errorf("-shards %s diverged from -shards 1 (faults %v):\n--- shards 1 ---\n%s\n--- shards %s ---\n%s",
-					n, faults, ref, n, got)
-			}
+		lines++
+		f := strings.Fields(before)
+		pct, err := strconv.ParseFloat(f[len(f)-1], 64)
+		if err != nil {
+			t.Fatalf("unparsable bus-busy line %q: %v", line, err)
 		}
-		code, again, _ := runCLI(append(base, "-shards", "4")...)
-		if code != 0 {
-			t.Fatal("repeat sharded run failed")
+		if pct < 0 || pct > 100 {
+			t.Errorf("bus busy %.1f%% outside [0, 100]: %q", pct, line)
 		}
-		if code, first, _ := runCLI(append(base, "-shards", "4")...); code != 0 || stripWall(first) != stripWall(again) {
-			t.Errorf("repeated -shards 4 runs diverged (faults %v)", faults)
-		}
+	}
+	if lines != 2 {
+		t.Errorf("found %d bus-busy lines, want 2 (WideIO and DDRx):\n%s", lines, stdout)
 	}
 }
 

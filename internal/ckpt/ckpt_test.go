@@ -19,9 +19,6 @@ func sampleManifest() *Manifest {
 		Seed:            1,
 		Faults:          "tagflip=1e-6",
 		FaultSeed:       7,
-		Sharded:         true,
-		Shards:          9,
-		Window:          24,
 		EpochCycles:     4096,
 		InvariantCycles: 8192,
 		MaxCycles:       1 << 30,
@@ -216,6 +213,36 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
+// TestFormatOneRejected hand-builds a checkpoint in format 1, which
+// still carried the sharded-plan manifest fields and a different
+// engine payload, and checks it is refused as a version skew instead
+// of being misparsed.
+func TestFormatOneRejected(t *testing.T) {
+	mj := []byte(`{"format":1,"config_sha":"00112233aabbccdd","workload":"LU","arch":"RedCache",` +
+		`"seed":1,"sharded":true,"shards":9,"window":24,"cycle":123456}`)
+	payload := samplePayload()
+	var img []byte
+	img = append(img, "RCK1"...)
+	img = binary.LittleEndian.AppendUint32(img, 1)
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(mj)))
+	img = append(img, mj...)
+	img = binary.LittleEndian.AppendUint64(img, uint64(len(payload)))
+	img = append(img, payload...)
+	sum := sha256.Sum256(img)
+	img = append(img, sum[:]...)
+
+	if _, _, err := Decode(img); !errors.Is(err, ErrVersion) {
+		t.Errorf("Decode: got %v, want ErrVersion", err)
+	}
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	if err := os.WriteFile(path, img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := LoadFile(path); !errors.Is(err, ErrVersion) {
+		t.Errorf("LoadFile: got %v, want ErrVersion", err)
+	}
+}
+
 // TestManifestCompatible walks every pinned field.
 func TestManifestCompatible(t *testing.T) {
 	base := sampleManifest()
@@ -235,9 +262,6 @@ func TestManifestCompatible(t *testing.T) {
 		"seed":       func(m *Manifest) { m.Seed++ },
 		"faults":     func(m *Manifest) { m.Faults = "" },
 		"fault seed": func(m *Manifest) { m.FaultSeed++ },
-		"sharded":    func(m *Manifest) { m.Sharded = false },
-		"shards":     func(m *Manifest) { m.Shards++ },
-		"window":     func(m *Manifest) { m.Window++ },
 		"epoch":      func(m *Manifest) { m.EpochCycles++ },
 		"invariants": func(m *Manifest) { m.InvariantCycles++ },
 		"max cycles": func(m *Manifest) { m.MaxCycles++ },

@@ -99,8 +99,8 @@ func (c *Core) SaveState(w *ckpt.Writer) {
 	saveRing(w, &c.window)
 	saveRing(w, &c.stores)
 	w.Count(len(c.freeSlots))
-	for _, s := range c.freeSlots {
-		w.Int(s.id)
+	for i := range c.freeSlots {
+		w.Int(c.freeSlots[i].id)
 	}
 }
 

@@ -43,8 +43,6 @@ type slot struct {
 // StoreBufferSize), so a preallocated ring plus a slot free list keeps
 // the per-record hot path allocation-free; slot pointers stay stable
 // for the completion callbacks that write into them.
-//
-//redvet:shardlocal
 type slotRing struct {
 	buf  []*slot
 	head int

@@ -3,8 +3,7 @@ package dram
 // Checkpoint save/load for the channel model.  The full command-level
 // state is serialized: queue contents (as transaction records whose
 // completion callbacks are mapped to registry keys), bank/rank timing
-// state, bus and refresh bookkeeping, wake bookkeeping, the sharded
-// shadow counters, and the per-channel fault-injector views.  Pools
+// state, bus and refresh bookkeeping, and wake bookkeeping.  Pools
 // are restored to their saved high-water mark so a resumed run's
 // allocation behaviour matches the uninterrupted one.
 
@@ -23,7 +22,6 @@ const tagDRAM = 0x44524d31 // "DRM1"
 // device as 0 and main memory as 1).
 func (c *Controller) RegisterFns(reg *engine.FnRegistry, ctlID uint32) {
 	reg.RegisterArg(engine.Key(engine.KeyDRAMWake, ctlID, 0), c.wakeFn)
-	reg.RegisterArg(engine.Key(engine.KeyDRAMArrive, ctlID, 0), c.arriveFn)
 }
 
 // saveState serializes one bank's timing state.
@@ -193,18 +191,12 @@ func (c *Controller) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
 	return nil
 }
 
-// saveChannel serializes one channel's complete scheduling state.  The
-// wiring fields (engine, shard handle, interface pointer) are rebuilt
-// by NewController/SetSharding and acknowledged, not serialized.
+// saveChannel serializes one channel's complete scheduling state.
 func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *channel) error {
-	_, _, _, _ = ch.eng, ch.shard, ch.shardIdx, ch.iface // wiring, not state
 	if err := c.saveQueue(w, reg, &ch.rdq); err != nil {
 		return err
 	}
 	if err := c.saveQueue(w, reg, &ch.wrq); err != nil {
-		return err
-	}
-	if err := c.saveQueue(w, reg, &ch.handoff); err != nil {
 		return err
 	}
 	w.Bool(ch.drainWr)
@@ -221,8 +213,6 @@ func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *cha
 	w.I64(ch.refreshEnd)
 	w.Bool(ch.hasPending)
 	w.I64(ch.pendingAt)
-	ch.shadow.SaveState(w)
-	ch.inj.SaveState(w)
 	w.Count(len(ch.pool))
 	return nil
 }
@@ -230,14 +220,10 @@ func (c *Controller) saveChannel(w *ckpt.Writer, reg *engine.FnRegistry, ch *cha
 // loadChannel restores one channel, pre-growing its transaction pool
 // to the saved high-water mark.
 func (c *Controller) loadChannel(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel) error {
-	_, _, _, _ = ch.eng, ch.shard, ch.shardIdx, ch.iface // wiring, not state
 	if err := c.loadQueue(r, reg, ch, &ch.rdq); err != nil {
 		return err
 	}
 	if err := c.loadQueue(r, reg, ch, &ch.wrq); err != nil {
-		return err
-	}
-	if err := c.loadQueue(r, reg, ch, &ch.handoff); err != nil {
 		return err
 	}
 	ch.drainWr = r.Bool()
@@ -263,10 +249,6 @@ func (c *Controller) loadChannel(r *ckpt.Reader, reg *engine.FnRegistry, ch *cha
 	ch.refreshEnd = r.I64()
 	ch.hasPending = r.Bool()
 	ch.pendingAt = r.I64()
-	ch.shadow.LoadState(r)
-	if err := ch.inj.LoadState(r); err != nil {
-		return err
-	}
 	pool := r.Count(1 << 24)
 	if err := r.Err(); err != nil {
 		return err

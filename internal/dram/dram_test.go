@@ -352,3 +352,26 @@ func TestSameRow(t *testing.T) {
 		t.Error("SameRow wrong")
 	}
 }
+
+// TestInvariantsBoundSummedBusyCycles: the online sweep accepts the
+// busy cycles a real schedule charges and rejects a summed count no
+// set of non-overlapping bursts could produce.
+func TestInvariantsBoundSummedBusyCycles(t *testing.T) {
+	eng, c, iface := newTestCtl(t, 4)
+	for col := int64(0); col < 8; col++ {
+		c.Read(rowAddr(c, 0, 0, col), 64, nil)
+	}
+	eng.RunUntil(60) // mid-run: bursts are scheduled past the current cycle
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("mid-run sweep: %v", err)
+	}
+	eng.Run()
+	if err := c.CheckInvariants(); err != nil {
+		t.Fatalf("drained sweep: %v", err)
+	}
+	// One channel, busy for longer than its whole bus timeline.
+	iface.BusyCycles = max(eng.Now(), c.chans[0].busFreeAt) + 1
+	if err := c.CheckInvariants(); err == nil {
+		t.Fatal("sweep accepted busy cycles beyond channels x elapsed")
+	}
+}

@@ -3,10 +3,11 @@ package dram
 import "fmt"
 
 // CheckInvariants validates the controller's internal state: ring-queue
-// integrity, FR-FCFS occupancy bounds, the write-drain budget, and bus
-// timeline consistency.  It is the dram leg of the opt-in online
-// invariant checker (`redsim -invariants`); it allocates freely and
-// must never run on the steady-state path.
+// integrity, FR-FCFS occupancy bounds, the write-drain budget, bus
+// timeline consistency, and the summed busy-cycle bound.  It is the
+// dram leg of the opt-in online invariant checker (`redsim
+// -invariants`); it allocates freely and must never run on the
+// steady-state path.
 func (c *Controller) CheckInvariants() error {
 	for i := range c.chans {
 		ch := &c.chans[i]
@@ -48,6 +49,18 @@ func (c *Controller) CheckInvariants() error {
 				prev = t.Arrive
 			}
 		}
+	}
+	// Bursts on one channel never overlap and each is charged when it
+	// is scheduled, so the interface's busy cycles, summed over all
+	// channels, fit within channels × the bus horizon (the current
+	// cycle or the latest scheduled burst end, whichever is later).
+	horizon := c.eng.Now()
+	for i := range c.chans {
+		horizon = max(horizon, c.chans[i].busFreeAt)
+	}
+	if limit := horizon * int64(len(c.chans)); c.iface.BusyCycles > limit {
+		return fmt.Errorf("dram: %s busy cycles %d exceed %d channels x %d-cycle horizon",
+			c.cfg.Name, c.iface.BusyCycles, len(c.chans), horizon)
 	}
 	return nil
 }

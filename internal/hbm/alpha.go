@@ -21,8 +21,6 @@ import (
 // α adapts each epoch (DESIGN.md §5): if too many blocks leave the cache
 // without ever being reused, admission was too eager and α rises; if the
 // cache is mostly idle while traffic streams past it, α falls.
-//
-//redvet:shardlocal
 type alphaTable struct {
 	p config.RedCacheParams
 

@@ -22,8 +22,6 @@ import (
 // affordable structure to prove a read absent.  The DCP filter is exact
 // in simulation (the functional tag store is available); real BEAR
 // tracks presence bits alongside L3 lines with small error.
-//
-//redvet:shardlocal
 type bear struct {
 	ctlBase
 	rng *rand.Rand

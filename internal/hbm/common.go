@@ -9,8 +9,6 @@ import (
 // ctlBase carries the state every real cache controller shares: the
 // functional tag store, statistics, victim bookkeeping, and the event
 // tracer (nil unless telemetry is wired — Emit on nil is a no-op).
-//
-//redvet:shardlocal
 type ctlBase struct {
 	d    deps
 	s    Stats

@@ -29,8 +29,6 @@ const (
 )
 
 // op is one pooled continuation record.
-//
-//redvet:shardlocal
 type op struct {
 	// id is the op's creation ordinal in its pool — its stable
 	// checkpoint identity.
@@ -50,8 +48,6 @@ type op struct {
 
 // opPool recycles op records.  The free list is LIFO so a mostly-serial
 // miss stream reuses one record forever.
-//
-//redvet:shardlocal
 type opPool struct {
 	ops  []*op
 	free []*op

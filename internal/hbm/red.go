@@ -25,8 +25,6 @@ const regretCap = 4096
 
 // red implements the RedCache controller family over the direct-mapped
 // TAD organization (Fig 7 flow).
-//
-//redvet:shardlocal
 type red struct {
 	ctlBase
 	f     redFlags

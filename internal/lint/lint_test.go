@@ -99,11 +99,8 @@ func TestStatsPath(t *testing.T)   { runFixture(t, StatsPath, "statspath") }
 func TestNoAlloc(t *testing.T)     { runFixture(t, NoAlloc, "noalloc") }
 func TestUnitFlow(t *testing.T)    { runFixture(t, UnitFlow, "unitflow") }
 func TestDetSched(t *testing.T)    { runFixture(t, DetSched, "detsched") }
-func TestShardLocal(t *testing.T)  { runFixture(t, ShardLocal, "shardlocal") }
 func TestFPOrder(t *testing.T)     { runFixture(t, FPOrder, "fporder") }
 func TestStateFold(t *testing.T)   { runFixture(t, StateFold, "statefold") }
-func TestWindowProof(t *testing.T) { runFixture(t, WindowProof, "windowproof") }
-func TestWallFlow(t *testing.T)    { runFixture(t, WallFlow, "wallflow") }
 
 // TestRepoIsClean runs the full suite over the whole repository — the
 // same gate CI applies with `go run ./cmd/redvet ./...` — so a lint
@@ -172,11 +169,6 @@ func TestScopes(t *testing.T) {
 		{DetSched, "redcache/cmd/redbench", false},
 		{DetSched, "redcache/internal/lint", false},
 		{DetSched, "redcache/internal/lint/testdata/src/detsched", true},
-		{ShardLocal, "redcache/internal/dram", true},
-		{ShardLocal, "redcache/internal/hbm", true},
-		{ShardLocal, "redcache/internal/experiments", false},
-		{ShardLocal, "redcache/internal/lint", false},
-		{ShardLocal, "redcache/internal/lint/testdata/src/shardlocal", true},
 		{FPOrder, "redcache/internal/stats", true},
 		{FPOrder, "redcache/internal/experiments", true},
 		{FPOrder, "redcache/internal/lint", false},
@@ -186,19 +178,7 @@ func TestScopes(t *testing.T) {
 		{StateFold, "redcache/internal/experiments", false},
 		{StateFold, "redcache/internal/lint", false},
 		{StateFold, "redcache/internal/lint/testdata/src/statefold", true},
-		{StateFold, "redcache/internal/lint/testdata/src/windowproof", false},
-		{WindowProof, "redcache/internal/engine", true},
-		{WindowProof, "redcache/internal/dram", true},
-		{WindowProof, "redcache/internal/cache", false},
-		{WindowProof, "redcache/internal/lint", false},
-		{WindowProof, "redcache/internal/lint/testdata/src/windowproof", true},
-		{WindowProof, "redcache/internal/lint/testdata/src/wallflow", false},
-		{WallFlow, "redcache/internal/engine", true},
-		{WallFlow, "redcache/cmd/redbench", true},
-		{WallFlow, "redcache/internal/obs/prof", true},
-		{WallFlow, "redcache/internal/lint", false},
-		{WallFlow, "redcache/internal/lint/testdata/src/wallflow", true},
-		{WallFlow, "redcache/internal/lint/testdata/src/statefold", false},
+		{StateFold, "redcache/internal/lint/testdata/src/fporder", false},
 	}
 	for _, c := range cases {
 		if got := c.analyzer.Scope(c.path); got != c.want {
@@ -209,7 +189,9 @@ func TestScopes(t *testing.T) {
 
 // TestDirectiveAudit checks the justification contract on a synthetic
 // package: unknown tokens and bare suppression tokens are findings,
-// justified suppressions and contract markers are not.
+// justified suppressions and contract markers are not.  The tokens of
+// the retired sharded-engine analyzers (shardlocal, mergepoint,
+// windowsafe, wallflow) are unknown now, justified or not.
 func TestDirectiveAudit(t *testing.T) {
 	src := `package p
 
@@ -219,21 +201,17 @@ func TestDirectiveAudit(t *testing.T) {
 //redvet:hotpath
 func f() {}
 
-//redvet:sharlocal — typo'd v3 marker
 //redvet:detsafe
-//redvet:mergepoint
 //redvet:fporder — v3 suppression, properly justified
 //redvet:detsafe — v3 suppression, properly justified
-//redvet:mergepoint — v3 marker-suppression hybrid, properly justified
 //redvet:shardlocal
+//redvet:mergepoint — retired marker-suppression hybrid
 type q struct{}
 
 //redvet:foldexempt
-//redvet:windowsafe
-//redvet:wallflow
 //redvet:foldexempt — v4 suppression, properly justified
-//redvet:windowsafe — v4 suppression, properly justified
-//redvet:wallflow — v4 suppression, properly justified
+//redvet:windowsafe — retired v4 suppression
+//redvet:wallflow — retired v4 suppression
 func g() {}
 `
 	fset := token.NewFileSet()
@@ -252,12 +230,12 @@ func g() {}
 	want := []string{
 		`unknown redvet directive "orderd"`,
 		"//redvet:wallclock needs a justification",
-		`unknown redvet directive "sharlocal"`,
 		"//redvet:detsafe needs a justification",
-		"//redvet:mergepoint needs a justification",
+		`unknown redvet directive "shardlocal"`,
+		`unknown redvet directive "mergepoint"`,
 		"//redvet:foldexempt needs a justification",
-		"//redvet:windowsafe needs a justification",
-		"//redvet:wallflow needs a justification",
+		`unknown redvet directive "windowsafe"`,
+		`unknown redvet directive "wallflow"`,
 	}
 	if len(ds) != len(want) {
 		t.Fatalf("got %d findings, want %d: %v", len(ds), len(want), ds)

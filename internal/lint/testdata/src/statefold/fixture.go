@@ -1,6 +1,6 @@
 // Package statefold is the fixture for the statefold analyzer: every
 // fold/merge/snapshot/delta/reset function over a stats-shaped (or
-// //redvet:shardlocal-marked) struct must handle every field — fold
+// unexported, component-internal) struct must handle every field — fold
 // it, reset it, delegate it to a helper whose FoldCovers facts prove
 // coverage, or carry a //redvet:foldexempt justification on the field
 // declaration.
@@ -59,10 +59,10 @@ func deltaFull(cur, prev foldutil.Shadow) foldutil.Shadow {
 	}
 }
 
-// ring is shard-local but not stats-shaped (the pointer field): the
-// //redvet:shardlocal marker alone makes it a fold subject.
-//
-//redvet:shardlocal
+// ring is not stats-shaped (the pointer field), but as an unexported
+// struct it is component-internal state and so a fold subject of its
+// own: merges and codecs over it must handle the pointer too, or
+// acknowledge it as wiring.
 type ring struct {
 	head *int
 	seen int64

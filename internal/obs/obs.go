@@ -231,9 +231,10 @@ func (r *Registry) Ratio(name string, num, den func() int64) {
 // RegisterInterface registers the standard probe set for one memory
 // interface: cumulative traffic counters plus per-epoch bandwidth
 // utilization and row-hit rate derived through stats.Interface's
-// Snapshot/Delta helpers.  now supplies the current cycle (the epoch
-// length denominator for utilization).
-func RegisterInterface(r *Registry, prefix string, i *stats.Interface, now func() int64) {
+// Snapshot/Delta helpers.  channels is the interface's channel count
+// and now supplies the current cycle; utilization is the mean
+// per-channel busy fraction over the epoch.
+func RegisterInterface(r *Registry, prefix string, i *stats.Interface, channels int, now func() int64) {
 	r.Counter(prefix+".read_bytes", func() int64 { return i.ReadBytes })
 	r.Counter(prefix+".write_bytes", func() int64 { return i.WriteBytes })
 	r.Counter(prefix+".busy_cycles", func() int64 { return i.BusyCycles })
@@ -247,7 +248,7 @@ func RegisterInterface(r *Registry, prefix string, i *stats.Interface, now func(
 		t := now()
 		elapsed := t - b.utilCycle
 		b.util, b.utilCycle = i.Snapshot(), t
-		return d.BandwidthUtil(elapsed)
+		return d.BandwidthUtil(elapsed, channels)
 	})
 	r.GaugeF(prefix+".row_hit_rate", func() float64 {
 		d := i.Delta(b.row)

@@ -1,8 +1,7 @@
 package sim
 
 // Static guard: the checkpoint path is cold by contract.  A snapshot
-// runs only between events (serial) or at a window barrier (sharded),
-// never from inside the per-event hot loop — if serialization ever
+// runs only between events, never from inside the per-event hot loop — if serialization ever
 // crept into a //redvet:hotpath function, every event would pay its
 // allocation and hashing cost.  This test parses the whole module and
 // asserts no hotpath-annotated function calls into the checkpoint

@@ -5,6 +5,7 @@ import (
 
 	"redcache/internal/config"
 	"redcache/internal/hbm"
+	"redcache/internal/stats"
 	"redcache/internal/trace"
 	"redcache/internal/workloads"
 )
@@ -32,7 +33,10 @@ func TestDeterminism(t *testing.T) {
 }
 
 // TestRequestConservation: the controller must see exactly the L3
-// misses plus the L3 dirty writebacks, for every architecture.
+// misses plus the L3 dirty writebacks, and each channel model must
+// issue every transaction it accepted exactly once (one column access
+// per request, and some channel traffic driven), for every
+// architecture.
 func TestRequestConservation(t *testing.T) {
 	cfg := config.Tiny()
 	tr := workloads.IS(cfg.CPU.Cores, workloads.Tiny, 5)
@@ -40,6 +44,14 @@ func TestRequestConservation(t *testing.T) {
 		res, err := Run(cfg, arch, tr, nil)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if res.HBMIface.Requests+res.DDRIface.Requests == 0 {
+			t.Errorf("%s: no channel traffic; the column-access check would be vacuous", arch)
+		}
+		for _, i := range []*stats.Interface{&res.HBMIface, &res.DDRIface} {
+			if cols := i.RowHits + i.RowMisses; cols != i.Requests {
+				t.Errorf("%s %s: %d column accesses for %d requests", arch, i.Name, cols, i.Requests)
+			}
 		}
 		wantReads := res.L3.Misses
 		wantWrites := res.L3.DirtyEvicts

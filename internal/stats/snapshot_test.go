@@ -29,7 +29,7 @@ func TestInterfaceSnapshotDelta(t *testing.T) {
 	}
 	// The interval supports the same derived metrics as the cumulative
 	// view: 30 busy cycles over a 100-cycle epoch, 1 hit in 4 accesses.
-	if got := d.BandwidthUtil(100); got != 0.30 {
+	if got := d.BandwidthUtil(100, 1); got != 0.30 {
 		t.Errorf("interval util = %f, want 0.30", got)
 	}
 	if got := d.RowHitRate(); got != 0.25 {

@@ -48,12 +48,14 @@ func (i *Interface) RowHitRate() float64 {
 	return float64(i.RowHits) / float64(t)
 }
 
-// BandwidthUtil reports the fraction of elapsed cycles the bus was busy.
-func (i *Interface) BandwidthUtil(elapsed int64) float64 {
-	if elapsed <= 0 {
+// BandwidthUtil reports the mean per-channel fraction of elapsed cycles
+// the data bus was busy.  BusyCycles sums over all channels of the
+// interface, so it is divided by elapsed × channels.
+func (i *Interface) BandwidthUtil(elapsed int64, channels int) float64 {
+	if elapsed <= 0 || channels <= 0 {
 		return 0
 	}
-	return float64(i.BusyCycles) / float64(elapsed)
+	return float64(i.BusyCycles) / (float64(elapsed) * float64(channels))
 }
 
 // Check validates the counters' structural relationships: every counter

@@ -24,10 +24,16 @@ func TestInterfaceMetrics(t *testing.T) {
 	if got := i.RowHitRate(); got != 0.75 {
 		t.Fatalf("row hit rate = %f", got)
 	}
-	if got := i.BandwidthUtil(100); got != 0.25 {
+	if got := i.BandwidthUtil(100, 1); got != 0.25 {
 		t.Fatalf("util = %f", got)
 	}
-	if (&Interface{}).RowHitRate() != 0 || (&Interface{}).BandwidthUtil(0) != 0 {
+	// BusyCycles sums over channels: 25 busy cycles spread over 5
+	// channels in 10 cycles is half of each channel's time.
+	if got := i.BandwidthUtil(10, 5); got != 0.5 {
+		t.Fatalf("per-channel util = %f, want 0.5", got)
+	}
+	if (&Interface{}).RowHitRate() != 0 || (&Interface{}).BandwidthUtil(0, 1) != 0 ||
+		i.BandwidthUtil(100, 0) != 0 {
 		t.Error("empty interface should report zeros")
 	}
 }
