@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -70,25 +71,64 @@ func TestGoldenResultMatchesSeed(t *testing.T) {
 		p := p
 		t.Run(p.name, func(t *testing.T) {
 			got := goldenString(goldenRun(t, p.workload, p.arch, p.scale))
-			path := filepath.Join("testdata",
-				fmt.Sprintf("golden_%s.txt", p.name))
-			if os.Getenv("REDCACHE_UPDATE_GOLDEN") != "" {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("updated %s", path)
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with REDCACHE_UPDATE_GOLDEN=1 to create): %v", err)
-			}
-			if got != string(want) {
-				t.Fatalf("Result diverged from seed implementation.\n--- want (seed)\n%s\n--- got\n%s", want, got)
-			}
+			checkGolden(t, fmt.Sprintf("golden_%s.txt", p.name), got)
 		})
+	}
+}
+
+// TestGoldenEveryArch pins every architecture on two workloads at tiny
+// scale with the full observer set (default faults, telemetry with
+// events, invariants).  Between them LU and BRN reach every controller
+// policy path except refresh bypass, which golden_LU_RedCache_small
+// pins: dirty victims, BEAR's fill bypass and presence-filter writes,
+// α admissions, γ invalidations and in-situ updates, every RCU
+// disposition, RCU block hits and the dirty-victim keep.  Each file
+// holds goldenString verbatim, the fault counters, and the sha256 of
+// fullString (telemetry series and event trace included).
+//
+// Regenerate (only when a behaviour change is *intended* and reviewed):
+//
+//	REDCACHE_UPDATE_GOLDEN=1 go test ./internal/sim -run Golden
+func TestGoldenEveryArch(t *testing.T) {
+	for _, wl := range []string{"LU", "BRN"} {
+		for _, arch := range hbm.All() {
+			wl, arch := wl, arch
+			t.Run(wl+"_"+string(arch), func(t *testing.T) {
+				t.Parallel()
+				cfg := config.Tiny()
+				res, err := Run(cfg, arch, ckptTrace(t, cfg, wl), ckptOpts(true))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := goldenString(res) +
+					fmt.Sprintf("Faults:%+v\n", *res.FaultStats) +
+					fmt.Sprintf("sha256:%x\n", sha256.Sum256([]byte(fullString(t, res))))
+				checkGolden(t, fmt.Sprintf("golden_arch_%s_%s.txt", wl, arch), got)
+			})
+		}
+	}
+}
+
+// checkGolden compares got against testdata/name, or rewrites the file
+// when REDCACHE_UPDATE_GOLDEN is set.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if os.Getenv("REDCACHE_UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("updated %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("missing golden file (run with REDCACHE_UPDATE_GOLDEN=1 to create): %v", err)
+	}
+	if got != string(want) {
+		t.Fatalf("Result diverged from the pinned implementation.\n--- want\n%s\n--- got\n%s", want, got)
 	}
 }
