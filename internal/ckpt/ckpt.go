@@ -38,7 +38,9 @@ import (
 )
 
 // FormatVersion is the checkpoint format this build writes and reads.
-const FormatVersion = 2
+// Format 3 merged the DRAM-cache controllers into one codec: op kinds
+// were renumbered and each architecture's payload changed.
+const FormatVersion = 3
 
 const magic = "RCK1"
 

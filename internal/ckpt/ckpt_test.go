@@ -213,33 +213,41 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestFormatOneRejected hand-builds a checkpoint in format 1, which
-// still carried the sharded-plan manifest fields and a different
-// engine payload, and checks it is refused as a version skew instead
-// of being misparsed.
+// TestFormatOneRejected hand-builds checkpoints in the older formats
+// and checks each is refused as a version skew instead of being
+// misparsed.  Format 1 still carried the sharded-plan manifest fields
+// and a different engine payload; format 2 had one DRAM-cache codec
+// per controller type, with op kinds that now mean something else.
 func TestFormatOneRejected(t *testing.T) {
-	mj := []byte(`{"format":1,"config_sha":"00112233aabbccdd","workload":"LU","arch":"RedCache",` +
-		`"seed":1,"sharded":true,"shards":9,"window":24,"cycle":123456}`)
-	payload := samplePayload()
-	var img []byte
-	img = append(img, "RCK1"...)
-	img = binary.LittleEndian.AppendUint32(img, 1)
-	img = binary.LittleEndian.AppendUint32(img, uint32(len(mj)))
-	img = append(img, mj...)
-	img = binary.LittleEndian.AppendUint64(img, uint64(len(payload)))
-	img = append(img, payload...)
-	sum := sha256.Sum256(img)
-	img = append(img, sum[:]...)
+	manifests := map[uint32]string{
+		1: `{"format":1,"config_sha":"00112233aabbccdd","workload":"LU","arch":"RedCache",` +
+			`"seed":1,"sharded":true,"shards":9,"window":24,"cycle":123456}`,
+		2: `{"format":2,"config_sha":"00112233aabbccdd","workload":"LU","arch":"RedCache",` +
+			`"seed":1,"cycle":123456}`,
+	}
+	for _, format := range []uint32{1, 2} {
+		mj := []byte(manifests[format])
+		payload := samplePayload()
+		var img []byte
+		img = append(img, "RCK1"...)
+		img = binary.LittleEndian.AppendUint32(img, format)
+		img = binary.LittleEndian.AppendUint32(img, uint32(len(mj)))
+		img = append(img, mj...)
+		img = binary.LittleEndian.AppendUint64(img, uint64(len(payload)))
+		img = append(img, payload...)
+		sum := sha256.Sum256(img)
+		img = append(img, sum[:]...)
 
-	if _, _, err := Decode(img); !errors.Is(err, ErrVersion) {
-		t.Errorf("Decode: got %v, want ErrVersion", err)
-	}
-	path := filepath.Join(t.TempDir(), "v1.ckpt")
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := LoadFile(path); !errors.Is(err, ErrVersion) {
-		t.Errorf("LoadFile: got %v, want ErrVersion", err)
+		if _, _, err := Decode(img); !errors.Is(err, ErrVersion) {
+			t.Errorf("format %d Decode: got %v, want ErrVersion", format, err)
+		}
+		path := filepath.Join(t.TempDir(), "old.ckpt")
+		if err := os.WriteFile(path, img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := LoadFile(path); !errors.Is(err, ErrVersion) {
+			t.Errorf("format %d LoadFile: got %v, want ErrVersion", format, err)
+		}
 	}
 }
 

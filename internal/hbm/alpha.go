@@ -14,13 +14,13 @@ import (
 //
 // The authoritative counters live in main memory next to the page table;
 // an on-chip buffer with as many entries as the TLB shadows the hot
-// subset.  A buffer miss costs one (posted) DDR4 read — the "free ride"
-// on the page-walk path the paper describes — which the controller
-// issues via the fetch callback.
+// subset.  A buffer miss rides the page walk the TLB miss performs
+// anyway (§III-A-1's "virtually free ride"), so it costs buffer energy
+// but no extra DDR4 traffic; the walk itself is outside the modeled
+// memory stream for every architecture alike.
 //
-// α adapts each epoch (DESIGN.md §5): if too many blocks leave the cache
-// without ever being reused, admission was too eager and α rises; if the
-// cache is mostly idle while traffic streams past it, α falls.
+// α adapts each epoch (maybeAdapt, DESIGN.md §5) from interface busy
+// fractions, the demand hit rate, fill churn and bypass share.
 type alphaTable struct {
 	p config.RedCacheParams
 
@@ -45,14 +45,11 @@ type alphaTable struct {
 	baseHBMBusy  int64
 	baseDDRBusy  int64
 
-	// fetch is invoked on a buffer miss to model the page-table ride.
-	fetch func(page mem.PageID)
-
 	// tr traces admissions and α moves (nil unless telemetry is wired).
 	tr *obs.Tracer
 }
 
-func newAlphaTable(p config.RedCacheParams, fetch func(mem.PageID)) *alphaTable {
+func newAlphaTable(p config.RedCacheParams) *alphaTable {
 	return &alphaTable{
 		p:        p,
 		counts:   make(map[mem.PageID]uint16),
@@ -60,7 +57,6 @@ func newAlphaTable(p config.RedCacheParams, fetch func(mem.PageID)) *alphaTable 
 		buffer:   make(map[mem.PageID]struct{}),
 		ring:     make([]mem.PageID, 0, p.AlphaBufferEnt),
 		alpha:    p.AlphaInit,
-		fetch:    fetch,
 	}
 }
 
@@ -77,9 +73,6 @@ func (a *alphaTable) observe(page mem.PageID, st *Stats) bool {
 	} else {
 		st.Alpha.BufferMiss++
 		a.insert(page)
-		if a.fetch != nil {
-			a.fetch(page)
-		}
 	}
 	if a.admitted[page] {
 		return true

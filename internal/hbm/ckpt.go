@@ -1,8 +1,9 @@
 package hbm
 
-// Checkpoint save/load for the DRAM-cache controllers: tag store,
-// counters, in-flight pooled ops, and the policy state of each variant
-// (alpha table, RCU CAM, gamma/regret trackers, BEAR's sampler).
+// Checkpoint save/load for the DRAM-cache controller: counters, and
+// then the state of each component its policy row enables (tag store,
+// BAB sampler, alpha table, RCU CAM, gamma/regret tracker), and the
+// in-flight pooled ops.
 
 import (
 	"fmt"
@@ -21,12 +22,8 @@ const tagHBM = 0x48424d31 // "HBM1"
 // real trace's page count, far below an allocation bomb.
 const maxTrackedPages = 1 << 26
 
-// RegisterFns attaches the callback registry to each controller's op
-// pool.  noHBM has no deferred continuations and no pool.
-func (c *alloy) RegisterFns(reg *engine.FnRegistry) { c.ops.attach(reg) }
-func (c *bear) RegisterFns(reg *engine.FnRegistry)  { c.ops.attach(reg) }
-func (c *ideal) RegisterFns(reg *engine.FnRegistry) { c.ops.attach(reg) }
-func (c *red) RegisterFns(reg *engine.FnRegistry)   { c.ops.attach(reg) }
+// RegisterFns attaches the callback registry to the op pool.
+func (c *controller) RegisterFns(reg *engine.FnRegistry) { c.ops.attach(reg) }
 
 // saveState serializes the op pool: every record's armed state in id
 // order, then the free-list membership.  A request pointer is written
@@ -306,27 +303,11 @@ func (u *RCUStats) loadState(r *ckpt.Reader) {
 	u.Merged = r.I64()
 }
 
-// saveState serializes the shared controller base.
-func (c *ctlBase) saveState(w *ckpt.Writer) {
-	_, _, _ = c.d, c.tr, c.inj // wiring, not state
-	w.Tag(tagHBM)
-	c.s.SaveState(w)
-	c.tags.saveState(w)
-}
-
-// loadState restores the shared controller base.
-func (c *ctlBase) loadState(r *ckpt.Reader) error {
-	_, _, _ = c.d, c.tr, c.inj // wiring, not state
-	r.Tag(tagHBM)
-	c.s.LoadState(r)
-	return c.tags.loadState(r)
-}
-
 // saveState serializes the alpha table: the authoritative and buffered
 // page sets (map keys sorted, so identical state always produces an
 // identical payload) and the adaptation baselines.
 func (a *alphaTable) saveState(w *ckpt.Writer) {
-	_, _, _ = a.p, a.fetch, a.tr // configuration and wiring
+	_, _ = a.p, a.tr // configuration and wiring
 
 	counts := make([]mem.PageID, 0, len(a.counts))
 	for p := range a.counts {
@@ -382,7 +363,7 @@ func (a *alphaTable) saveState(w *ckpt.Writer) {
 
 // loadState restores the alpha table.
 func (a *alphaTable) loadState(r *ckpt.Reader) error {
-	_, _, _ = a.p, a.fetch, a.tr // configuration and wiring
+	_, _ = a.p, a.tr // configuration and wiring
 
 	n := r.Count(maxTrackedPages)
 	if err := r.Err(); err != nil {
@@ -468,126 +449,78 @@ func (u *rcuManager) loadState(r *ckpt.Reader) error {
 	return nil
 }
 
-// SaveState serializes the noHBM controller (counters only).
-func (c *noHBM) SaveState(w *ckpt.Writer, _ *engine.FnRegistry) error {
-	_ = c.d // wiring
+// SaveState serializes the controller: the counters, then the state of
+// each component the row enabled (New allocated it) in a fixed order,
+// then the op pool.  The policy row is configuration, pinned by the
+// manifest's arch.
+// rand.Rand's state is opaque, so the BAB sampler stream is saved as
+// its draw count and replayed from the seed at load.
+func (c *controller) SaveState(w *ckpt.Writer, reg *engine.FnRegistry) error {
+	_, _, _, _, _ = c.arch, c.p, c.d, c.tr, c.inj // configuration and wiring
 	w.Tag(tagHBM)
 	c.s.SaveState(w)
-	return nil
-}
-
-// LoadState restores the noHBM controller.
-func (c *noHBM) LoadState(r *ckpt.Reader, _ *engine.FnRegistry) error {
-	_ = c.d // wiring
-	r.Tag(tagHBM)
-	c.s.LoadState(r)
-	return r.Err()
-}
-
-// SaveState serializes the ideal controller.
-func (c *ideal) SaveState(w *ckpt.Writer, reg *engine.FnRegistry) error {
-	_ = c.d // wiring
-	w.Tag(tagHBM)
-	c.s.SaveState(w)
-	return c.ops.saveState(w, reg)
-}
-
-// LoadState restores the ideal controller.
-func (c *ideal) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
-	_ = c.d // wiring
-	r.Tag(tagHBM)
-	c.s.LoadState(r)
-	if err := r.Err(); err != nil {
-		return err
+	if c.tags != nil {
+		c.tags.saveState(w)
 	}
-	return c.ops.loadState(r, reg)
-}
-
-// SaveState serializes the Alloy controller.
-func (c *alloy) SaveState(w *ckpt.Writer, reg *engine.FnRegistry) error {
-	c.ctlBase.saveState(w)
-	return c.ops.saveState(w, reg)
-}
-
-// LoadState restores the Alloy controller.
-func (c *alloy) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
-	if err := c.ctlBase.loadState(r); err != nil {
-		return err
+	if c.rng != nil { // re-seeded and replayed via draws at load
+		w.U64(c.draws)
+		w.F64(c.hitEWMA)
+		w.U64(c.sampleCtr)
 	}
-	return c.ops.loadState(r, reg)
-}
-
-// SaveState serializes the BEAR controller.  rand.Rand's state is
-// opaque, so the sampler stream is saved as its draw count and replayed
-// from the seed at load.
-func (c *bear) SaveState(w *ckpt.Writer, reg *engine.FnRegistry) error {
-	_ = c.rng // re-seeded and replayed via draws at load
-	c.ctlBase.saveState(w)
-	w.U64(c.draws)
-	w.F64(c.hitEWMA)
-	w.U64(c.sampleCtr)
-	return c.ops.saveState(w, reg)
-}
-
-// LoadState restores the BEAR controller.
-func (c *bear) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
-	if err := c.ctlBase.loadState(r); err != nil {
-		return err
-	}
-	c.draws = r.U64()
-	c.hitEWMA = r.F64()
-	c.sampleCtr = r.U64()
-	if err := r.Err(); err != nil {
-		return err
-	}
-	if c.draws > 1<<40 {
-		return fmt.Errorf("hbm: implausible sampler draw count %d: %w", c.draws, ckpt.ErrCorrupt)
-	}
-	c.rng = rand.New(rand.NewSource(c.d.cfg.Seed ^ bearSeedMix))
-	for i := uint64(0); i < c.draws; i++ {
-		c.rng.Float64()
-	}
-	return c.ops.loadState(r, reg)
-}
-
-// SaveState serializes the RedCache controller family.
-func (c *red) SaveState(w *ckpt.Writer, reg *engine.FnRegistry) error {
-	_ = c.f // configuration: which variant, pinned by the manifest
-	c.ctlBase.saveState(w)
 	if c.at != nil {
 		c.at.saveState(w)
 	}
 	if c.rcu != nil {
 		c.rcu.saveState(w)
 	}
-	w.Int(c.gamma)
-	w.Int(c.gammaDown)
-
-	w.Count(len(c.regretRing))
-	for _, a := range c.regretRing {
-		w.U64(uint64(a))
-	}
-	w.Int(c.regretHead)
-	// The regret map is a subset of the ring's address set (checkRegret
-	// deletes map entries the ring still holds), so it is saved in its
-	// own right, keys sorted.
-	keys := make([]mem.Addr, 0, len(c.regret))
-	for a := range c.regret {
-		keys = append(keys, a)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	w.Count(len(keys))
-	for _, a := range keys {
-		w.U64(uint64(a))
+	if c.regret != nil {
+		w.Int(c.gamma)
+		w.Int(c.gammaDown)
+		w.Count(len(c.regretRing))
+		for _, a := range c.regretRing {
+			w.U64(uint64(a))
+		}
+		w.Int(c.regretHead)
+		// The regret map is a subset of the ring's address set
+		// (checkRegret deletes map entries the ring still holds), so it
+		// is saved in its own right, keys sorted.
+		keys := make([]mem.Addr, 0, len(c.regret))
+		for a := range c.regret {
+			keys = append(keys, a)
+		}
+		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
+		w.Count(len(keys))
+		for _, a := range keys {
+			w.U64(uint64(a))
+		}
 	}
 	return c.ops.saveState(w, reg)
 }
 
-// LoadState restores the RedCache controller family.
-func (c *red) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
-	_ = c.f // configuration
-	if err := c.ctlBase.loadState(r); err != nil {
-		return err
+// LoadState restores the controller, mirroring SaveState.
+func (c *controller) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
+	_, _, _, _, _ = c.arch, c.p, c.d, c.tr, c.inj // configuration and wiring
+	r.Tag(tagHBM)
+	c.s.LoadState(r)
+	if c.tags != nil {
+		if err := c.tags.loadState(r); err != nil {
+			return err
+		}
+	}
+	if c.rng != nil {
+		c.draws = r.U64()
+		c.hitEWMA = r.F64()
+		c.sampleCtr = r.U64()
+		if err := r.Err(); err != nil {
+			return err
+		}
+		if c.draws > 1<<40 {
+			return fmt.Errorf("hbm: implausible sampler draw count %d: %w", c.draws, ckpt.ErrCorrupt)
+		}
+		c.rng = rand.New(rand.NewSource(c.d.cfg.Seed ^ bearSeedMix))
+		for i := uint64(0); i < c.draws; i++ {
+			c.rng.Float64()
+		}
 	}
 	if c.at != nil {
 		if err := c.at.loadState(r); err != nil {
@@ -599,25 +532,26 @@ func (c *red) LoadState(r *ckpt.Reader, reg *engine.FnRegistry) error {
 			return err
 		}
 	}
-	c.gamma = r.Int()
-	c.gammaDown = r.Int()
-
-	n := r.Count(regretCap)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.regretRing = c.regretRing[:0]
-	for i := 0; i < n; i++ {
-		c.regretRing = append(c.regretRing, mem.Addr(r.U64()))
-	}
-	c.regretHead = r.Int()
-	n = r.Count(regretCap)
-	if err := r.Err(); err != nil {
-		return err
-	}
-	c.regret = make(map[mem.Addr]struct{}, n)
-	for i := 0; i < n; i++ {
-		c.regret[mem.Addr(r.U64())] = struct{}{}
+	if c.regret != nil {
+		c.gamma = r.Int()
+		c.gammaDown = r.Int()
+		n := r.Count(regretCap)
+		if err := r.Err(); err != nil {
+			return err
+		}
+		c.regretRing = c.regretRing[:0]
+		for i := 0; i < n; i++ {
+			c.regretRing = append(c.regretRing, mem.Addr(r.U64()))
+		}
+		c.regretHead = r.Int()
+		n = r.Count(regretCap)
+		if err := r.Err(); err != nil {
+			return err
+		}
+		c.regret = make(map[mem.Addr]struct{}, n)
+		for i := 0; i < n; i++ {
+			c.regret[mem.Addr(r.U64())] = struct{}{}
+		}
 	}
 	if err := r.Err(); err != nil {
 		return err

@@ -40,7 +40,7 @@ func TestAlloyCoarseWriteMissFetchesRemainder(t *testing.T) {
 	if r.ddrIface.ReadBytes != 256 {
 		t.Fatalf("DDR remainder fetch = %d bytes, want 256", r.ddrIface.ReadBytes)
 	}
-	e, hit := r.tags(t).lookup(0)
+	e, hit := r.ctl.tags.lookup(0)
 	if !hit || !e.dirty {
 		t.Fatal("frame must be resident and dirty after write-allocate")
 	}

@@ -1,21 +1,24 @@
-// Package hbm implements the DRAM-cache controllers compared in the
+// Package hbm implements the DRAM-cache controller compared in the
 // paper: the No-HBM and IDEAL reference topologies (§II-A, Fig 1), the
 // Alloy and BEAR baselines, and the six RedCache variants of §IV-A
 // (Red-Alpha, Red-Gamma, Red-Basic, Red-InSitu, and the full RedCache
 // with alpha+gamma counting, RCU management and refresh bypass).
 //
-// Every controller sits between the L3 (requests arrive via Submit) and
-// two dram.Controllers: the in-package WideIO HBM and off-chip DDR4.
+// One controller type serves every architecture; each is a row in the
+// policy table below, which names the topology and the mechanisms the
+// row adds to the Alloy TAD flow.  The controller sits between the L3
+// (requests arrive via Submit) and two dram.Controllers: the
+// in-package WideIO HBM and off-chip DDR4.
 package hbm
 
 import (
 	"fmt"
+	"math/rand"
 
 	"redcache/internal/config"
 	"redcache/internal/dram"
 	"redcache/internal/engine"
 	"redcache/internal/mem"
-	"redcache/internal/obs"
 	"redcache/internal/stats"
 )
 
@@ -47,22 +50,6 @@ func All() []Arch {
 func Figure9Archs() []Arch {
 	return []Arch{ArchAlloy, ArchBear, ArchRedAlpha, ArchRedGamma,
 		ArchRedBasic, ArchRedInSitu, ArchRedCache}
-}
-
-// Controller is the memory subsystem below the L3.
-type Controller interface {
-	// Submit hands over an L3 miss (read) or L3 dirty eviction (write).
-	Submit(req *mem.Request)
-	// Name reports the architecture.
-	Name() Arch
-	// Stats exposes the controller-level statistics.
-	Stats() *Stats
-	// RegisterTelemetry registers the controller's probes with tel's
-	// registry and wires the event tracer into instrumented paths.
-	// Called at wire-up, before the first Submit.
-	RegisterTelemetry(tel *obs.Telemetry)
-	// Drain flushes any internal buffers (RCU queue) at end of run.
-	Drain()
 }
 
 // RCUStats breaks down how deferred r-count updates were disposed of
@@ -225,42 +212,115 @@ func (t *tagStore) occupancy() int {
 	return n
 }
 
-// deps bundles what every controller needs.
+// deps bundles the controller's wiring.
 type deps struct {
 	eng *engine.Engine
 	cfg *config.System
-	hbm *dram.Controller // may be nil for NoHBM
+	hbm *dram.Controller // nil without an HBM (NoHBM)
 	ddr *dram.Controller
 }
 
-// New constructs the controller for arch.  hbmCtl may be nil only for
-// ArchNoHBM.
+// topology is the memory organisation below the L3 (§II-A, Fig 1).
+type topology uint8
+
+const (
+	// noCache is Fig 1(a): every L3 miss and writeback goes to DDR4.
+	noCache topology = iota
+	// perfectCache is Fig 1(b): every access hits, but each one still
+	// pays its TAD read, and a write a second HBM access.
+	perfectCache
+	// tadCache is the direct-mapped tag-and-data cache of Alloy and
+	// every RedCache variant (Fig 7).
+	tadCache
+)
+
+// rcountKeep is how a TAD cache keeps a block's reuse count (r-count),
+// which lives in the spare ECC bits next to the data.
+type rcountKeep uint8
+
+const (
+	// rcFree increments the count in place on every hit; the TAD access
+	// the hit makes anyway carries it (Alloy, BEAR).
+	rcFree rcountKeep = iota
+	// rcUntouched never updates the count (Red-Alpha).
+	rcUntouched
+	// rcMasked pays one masked 8 B HBM write per read hit (Red-Basic).
+	rcMasked
+	// rcInSitu updates the count inside the DRAM die, with no bus
+	// traffic and an energy cost per update (Red-InSitu, Red-Gamma).
+	rcInSitu
+	// rcRCU defers the update through the RCU manager (§III-C).
+	rcRCU
+)
+
+// policy is one architecture's row in the policy table: the topology
+// plus the mechanisms it adds to the Alloy TAD flow.  Every rcount
+// mode but rcFree treats the count as RedCache metadata: a write hit
+// reads it back through the fault model, and the controller reports
+// the initial γ as its final one even when γ never moves.
+type policy struct {
+	topo          topology
+	alpha         bool // α admission (§III-A-1)
+	bab           bool // BEAR bandwidth-aware fill bypass, drawn at submit time
+	presence      bool // BEAR presence-filter writes: exact SRAM lookup, no probe, no allocation
+	gamma         bool // γ last-write invalidation, regret tracking, §IV-D dirty-victim keep
+	rcount        rcountKeep
+	refreshBypass bool // route guaranteed misses around refreshing HBM banks
+}
+
+// policies is the arch → policy table; the six RedCache rows are the
+// configurations of §IV-A.
+var policies = map[Arch]policy{
+	ArchNoHBM:     {topo: noCache},
+	ArchIdeal:     {topo: perfectCache},
+	ArchAlloy:     {topo: tadCache},
+	ArchBear:      {topo: tadCache, bab: true, presence: true},
+	ArchRedAlpha:  {topo: tadCache, alpha: true, rcount: rcUntouched},
+	ArchRedGamma:  {topo: tadCache, gamma: true, rcount: rcInSitu},
+	ArchRedBasic:  {topo: tadCache, alpha: true, gamma: true, rcount: rcMasked},
+	ArchRedInSitu: {topo: tadCache, alpha: true, gamma: true, rcount: rcInSitu, refreshBypass: true},
+	ArchRedCache:  {topo: tadCache, alpha: true, gamma: true, rcount: rcRCU, refreshBypass: true},
+}
+
+// New constructs the controller for arch from its policy row.  hbmCtl
+// may be nil only for ArchNoHBM.  Only the components the row enables
+// are allocated.
 func New(arch Arch, eng *engine.Engine, cfg *config.System,
-	hbmCtl, ddrCtl *dram.Controller) (Controller, error) {
-	d := deps{eng: eng, cfg: cfg, hbm: hbmCtl, ddr: ddrCtl}
-	if arch != ArchNoHBM && hbmCtl == nil {
-		return nil, fmt.Errorf("hbm: architecture %s requires an HBM controller", arch)
-	}
-	switch arch {
-	case ArchNoHBM:
-		return newNoHBM(d), nil
-	case ArchIdeal:
-		return newIdeal(d), nil
-	case ArchAlloy:
-		return newAlloy(d), nil
-	case ArchBear:
-		return newBear(d), nil
-	case ArchRedAlpha:
-		return newRed(d, redFlags{alpha: true}), nil
-	case ArchRedGamma:
-		return newRed(d, redFlags{gamma: true, insitu: true}), nil
-	case ArchRedBasic:
-		return newRed(d, redFlags{alpha: true, gamma: true}), nil
-	case ArchRedInSitu:
-		return newRed(d, redFlags{alpha: true, gamma: true, insitu: true, refreshBypass: true}), nil
-	case ArchRedCache:
-		return newRed(d, redFlags{alpha: true, gamma: true, rcu: true, refreshBypass: true}), nil
-	default:
+	hbmCtl, ddrCtl *dram.Controller) (*Controller, error) {
+	p, ok := policies[arch]
+	if !ok {
 		return nil, fmt.Errorf("hbm: unknown architecture %q", arch)
 	}
+	if p.topo != noCache && hbmCtl == nil {
+		return nil, fmt.Errorf("hbm: architecture %s requires an HBM controller", arch)
+	}
+	c := &controller{arch: arch, p: p, d: deps{eng: eng, cfg: cfg, hbm: hbmCtl, ddr: ddrCtl}}
+	c.ops = newOpPool(c.fireOp)
+	if p.topo == tadCache {
+		c.tags = newTagStore(cfg.HBMCacheB, cfg.Granularity)
+	}
+	if p.rcount != rcFree {
+		c.gamma = cfg.Red.GammaInit
+	}
+	if p.gamma {
+		c.regret = make(map[mem.Addr]struct{})
+	}
+	if p.bab {
+		c.rng = rand.New(rand.NewSource(cfg.Seed ^ bearSeedMix))
+		c.hitEWMA = 0.5
+	}
+	if p.alpha {
+		c.at = newAlphaTable(cfg.Red)
+	}
+	if p.rcount == rcRCU {
+		c.rcu = newRCUManager(hbmCtl, cfg.Red.RCUEntries, &c.s.RCU,
+			func(addr mem.Addr, count uint8) {
+				if e, hit := c.tags.lookup(addr); hit {
+					e.rcount = count
+				}
+			})
+		hbmCtl.SetWriteHook(c.rcu.onWrite)
+		hbmCtl.SetIdleHook(c.rcu.onIdle)
+	}
+	return c, nil
 }

@@ -19,7 +19,7 @@ type rig struct {
 	ddrIface stats.Interface
 	hbmCtl   *dram.Controller
 	ddrCtl   *dram.Controller
-	ctl      Controller
+	ctl      *controller
 }
 
 func newRig(t *testing.T, arch Arch, mutate func(*config.System)) *rig {
@@ -199,7 +199,7 @@ func TestBearWritebackMissGoesDirectToDDR(t *testing.T) {
 func TestBearWriteHitSkipsProbe(t *testing.T) {
 	r := newRig(t, ArchBear, nil)
 	r.access(0, mem.Read) // install (sample sets always fill eventually)
-	if !r.tags(t).present(0) {
+	if !r.ctl.tags.present(0) {
 		t.Skip("BAB bypassed this fill; presence-dependent test")
 	}
 	before := r.hbmIface.TotalBytes()
@@ -207,22 +207,6 @@ func TestBearWriteHitSkipsProbe(t *testing.T) {
 	// DCP knows it is present: one HBM write, no probe read.
 	if got := r.hbmIface.TotalBytes() - before; got != 64 {
 		t.Fatalf("write hit moved %d HBM bytes, want 64", got)
-	}
-}
-
-// tags exposes the tag store of the controller under test.
-func (r *rig) tags(t *testing.T) *tagStore {
-	t.Helper()
-	switch c := r.ctl.(type) {
-	case *alloy:
-		return c.tags
-	case *bear:
-		return c.tags
-	case *red:
-		return c.tags
-	default:
-		t.Fatalf("controller %T has no tag store", r.ctl)
-		return nil
 	}
 }
 

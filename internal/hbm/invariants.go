@@ -2,12 +2,37 @@ package hbm
 
 import "fmt"
 
-// CheckInvariants validates the tag store: every valid entry's tag must
-// map back to the frame that holds it.  It is the hbm leg of the opt-in
-// online invariant checker; red extends it with the RCU CAM and the
-// adaptive-threshold ranges.  Never called on the steady-state path.
-func (c *ctlBase) CheckInvariants() error {
-	return c.tags.check()
+// CheckInvariants is the hbm leg of the opt-in online invariant
+// checker: every valid tag maps back to the frame that holds it, the
+// adaptive α/γ thresholds sit in their configured ranges, the regret
+// tracker is bounded, and the RCU CAM is consistent.  Each check runs
+// only when the row has the component.  Never called on the
+// steady-state path.
+func (c *controller) CheckInvariants() error {
+	if c.tags != nil {
+		if err := c.tags.check(); err != nil {
+			return err
+		}
+	}
+	red := &c.d.cfg.Red
+	if c.p.gamma && (c.gamma < red.GammaMin || c.gamma > red.GammaMax) {
+		return fmt.Errorf("hbm: gamma %d outside configured range [%d, %d]",
+			c.gamma, red.GammaMin, red.GammaMax)
+	}
+	if c.at != nil {
+		if a := c.at.Alpha(); a < red.AlphaMin || a > red.AlphaMax {
+			return fmt.Errorf("hbm: alpha %d outside configured range [%d, %d]",
+				a, red.AlphaMin, red.AlphaMax)
+		}
+	}
+	if len(c.regretRing) > regretCap || len(c.regret) > len(c.regretRing) {
+		return fmt.Errorf("hbm: regret tracker holds %d map entries over a %d-slot ring (cap %d)",
+			len(c.regret), len(c.regretRing), regretCap)
+	}
+	if c.rcu != nil {
+		return c.rcu.check()
+	}
+	return nil
 }
 
 func (t *tagStore) check() error {
@@ -20,32 +45,6 @@ func (t *tagStore) check() error {
 			return fmt.Errorf("hbm: frame %d holds tag %#x, which maps to frame %d",
 				i, e.tag, e.tag&t.mask)
 		}
-	}
-	return nil
-}
-
-// CheckInvariants extends the tag-store check with the RCU CAM, the
-// regret tracker, and the adaptive α/γ threshold ranges.
-func (c *red) CheckInvariants() error {
-	if err := c.tags.check(); err != nil {
-		return err
-	}
-	if c.gamma < c.d.cfg.Red.GammaMin || c.gamma > c.d.cfg.Red.GammaMax {
-		return fmt.Errorf("hbm: gamma %d outside configured range [%d, %d]",
-			c.gamma, c.d.cfg.Red.GammaMin, c.d.cfg.Red.GammaMax)
-	}
-	if c.at != nil {
-		if a := c.at.Alpha(); a < c.d.cfg.Red.AlphaMin || a > c.d.cfg.Red.AlphaMax {
-			return fmt.Errorf("hbm: alpha %d outside configured range [%d, %d]",
-				a, c.d.cfg.Red.AlphaMin, c.d.cfg.Red.AlphaMax)
-		}
-	}
-	if len(c.regretRing) > regretCap || len(c.regret) > len(c.regretRing) {
-		return fmt.Errorf("hbm: regret tracker holds %d map entries over a %d-slot ring (cap %d)",
-			len(c.regret), len(c.regretRing), regretCap)
-	}
-	if c.rcu != nil {
-		return c.rcu.check()
 	}
 	return nil
 }

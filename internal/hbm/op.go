@@ -3,7 +3,7 @@ package hbm
 // Pooled miss-path continuations.  A controller's miss path used to
 // capture its continuation in a per-miss closure handed to the DRAM
 // layer; closures cannot be serialized, so a checkpoint could never
-// restore an in-flight miss.  Instead each controller owns a pool of op
+// restore an in-flight miss.  Instead the controller owns a pool of op
 // records with a once-bound fire callback registered under a stable
 // (KeyHBMOp, pool ordinal) key: the record carries the data the closure
 // used to capture, and the tag entry is recomputed positionally from
@@ -14,18 +14,21 @@ import (
 	"redcache/internal/mem"
 )
 
-// opKind discriminates the deferred continuations a controller can have
-// in flight.
+// opKind discriminates the deferred continuations the controller can
+// have in flight.
 type opKind uint8
 
 const (
 	opIdle opKind = iota
-	opAlloyReadFill
-	opAlloyWriteInstall
-	opBearReadFill
-	opIdealWrite
-	opRedReadFill
-	opRedWriteInstall
+	// opReadFill completes a TAD read miss once DDR4 returns the frame,
+	// installing it unless BAB bypassed the fill.
+	opReadFill
+	// opWriteInstall write-allocates once DDR4 returns the rest of a
+	// coarse-granularity frame.
+	opWriteInstall
+	// opCheckedWrite is the perfect cache's data write after its tag
+	// check read.
+	opCheckedWrite
 )
 
 // op is one pooled continuation record.
@@ -36,7 +39,7 @@ type op struct {
 	kind opKind
 	addr mem.Addr // the demand request's address
 	base mem.Addr // frame base of the fill transfer
-	fill bool     // BEAR's bandwidth-aware-bypass verdict
+	fill bool     // opReadFill installs the frame (false: BAB bypassed it)
 	// req is the demand request being served; inlineReq is its op-owned
 	// body when the original (e.g. a writeback) has no registered home.
 	req       *mem.Request
@@ -51,7 +54,7 @@ type op struct {
 type opPool struct {
 	ops  []*op
 	free []*op
-	// run is the owning controller's dispatch over kind.
+	// run is the controller's dispatch over kind.
 	run func(o *op, finish int64)
 	// reg, when attached, assigns each new op's fire a stable key.
 	reg *engine.FnRegistry

@@ -18,7 +18,7 @@ import (
 // unreachable threshold must leave the counter saturated forever, never
 // wrapped back to zero (which would silently restart admission).
 func TestAlphaCounterSaturates(t *testing.T) {
-	a := newAlphaTable(config.Tiny().Red, nil)
+	a := newAlphaTable(config.Tiny().Red)
 	a.alpha = 2000 // threshold 2000 x 64 = 128000 > 0xFFFF: unreachable
 	st := &Stats{}
 	page := mem.PageID(1)
@@ -41,7 +41,7 @@ func TestAlphaMaxThresholdStaysReachable(t *testing.T) {
 		t.Fatalf("alpha cap %d x %d blocks overflows the 16-bit page counter",
 			alphaCap, mem.BlocksPerPage)
 	}
-	a := newAlphaTable(config.Tiny().Red, nil)
+	a := newAlphaTable(config.Tiny().Red)
 	a.alpha = alphaCap
 	st := &Stats{}
 	page := mem.PageID(7)
@@ -64,7 +64,7 @@ func TestAlphaMaxThresholdStaysReachable(t *testing.T) {
 // saturation) and checks γ never leaves [GammaMin, GammaMax].
 func TestUpdateGammaRespectsBounds(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl
 	lo, hi := c.d.cfg.Red.GammaMin, c.d.cfg.Red.GammaMax
 
 	c.gamma = hi
@@ -104,7 +104,7 @@ func TestUpdateGammaRespectsBounds(t *testing.T) {
 // and must consume the regret entry either way.
 func TestCheckRegretCapsAtGammaMax(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl
 	hi := c.d.cfg.Red.GammaMax
 	addr := mem.Addr(0x40)
 
@@ -130,7 +130,7 @@ func TestCheckRegretCapsAtGammaMax(t *testing.T) {
 // invalidation storm must cycle the ring, not grow it.
 func TestRegretRingSaturates(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl
 	for i := 0; i < 3*regretCap; i++ {
 		c.noteInvalidation(mem.Addr(i * mem.BlockSize))
 	}
@@ -150,7 +150,7 @@ func TestRegretRingSaturates(t *testing.T) {
 // never wrap, and γ must stay in range throughout.
 func TestRCountPinsAtMax(t *testing.T) {
 	r := newRig(t, ArchRedCache, instantAdmit)
-	c := r.ctl.(*red)
+	c := r.ctl
 	addr := mem.Addr(0)
 	r.admitPage(addr)
 	r.access(addr, mem.Read) // fill

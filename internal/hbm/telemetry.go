@@ -2,8 +2,8 @@ package hbm
 
 import "redcache/internal/obs"
 
-// registerCtlProbes registers the controller-level probe set every
-// architecture exports.  Counters mirror the Stats fields the paper's
+// registerCtlProbes registers the ctl.* probe set every architecture
+// exports.  Counters mirror the Stats fields the paper's
 // figures aggregate; the epoch sampler turns them into per-epoch rates.
 func registerCtlProbes(r *obs.Registry, s *Stats) {
 	r.Counter("ctl.reads", func() int64 { return s.Reads })
@@ -21,34 +21,18 @@ func registerCtlProbes(r *obs.Registry, s *Stats) {
 		func() int64 { return s.Demand.Accesses() })
 }
 
-// RegisterTelemetry is the default wire-up inherited by controllers
-// embedding ctlBase: the shared controller probe set plus the event
-// tracer for instrumented paths.
-func (c *ctlBase) RegisterTelemetry(tel *obs.Telemetry) {
+// RegisterTelemetry registers the controller probe set every
+// architecture exports, plus the probes of the mechanisms its row
+// enables — the two adaptive thresholds, the α buffer, and the RCU
+// dispositions that Figs 7-8 and §III-C track over time — so each
+// architecture's telemetry schema names exactly what it simulates.  It
+// also wires the event tracer into the instrumented paths.  Called at
+// wire-up, before the first Submit.
+func (c *controller) RegisterTelemetry(tel *obs.Telemetry) {
 	registerCtlProbes(&tel.Reg, &c.s)
 	c.tr = tel.Tracer
-}
-
-// RegisterTelemetry exports the reference topology's counters (it has
-// no adaptive state to trace).
-func (c *noHBM) RegisterTelemetry(tel *obs.Telemetry) {
-	registerCtlProbes(&tel.Reg, &c.s)
-}
-
-// RegisterTelemetry exports the ideal topology's counters.
-func (c *ideal) RegisterTelemetry(tel *obs.Telemetry) {
-	registerCtlProbes(&tel.Reg, &c.s)
-}
-
-// RegisterTelemetry adds the RedCache-specific probe set on top of the
-// shared one: the two adaptive thresholds, the α buffer, and the RCU
-// dispositions — the quantities Figs 7-8 and §III-C track over time.
-// Only the probes of enabled mechanisms are registered, so each
-// variant's telemetry schema names exactly what it simulates.
-func (c *red) RegisterTelemetry(tel *obs.Telemetry) {
-	c.ctlBase.RegisterTelemetry(tel)
 	r := &tel.Reg
-	if c.f.alpha {
+	if c.at != nil {
 		r.Gauge("red.alpha", func() int64 { return int64(c.at.Alpha()) })
 		r.Ratio("red.alpha_buffer_hit_rate",
 			func() int64 { return c.s.Alpha.BufferHits },
@@ -58,13 +42,13 @@ func (c *red) RegisterTelemetry(tel *obs.Telemetry) {
 		r.Counter("red.alpha_adaptations", func() int64 { return c.s.Alpha.Adaptations })
 		c.at.tr = tel.Tracer
 	}
-	if c.f.gamma {
+	if c.p.gamma {
 		r.Gauge("red.gamma", func() int64 { return int64(c.gamma) })
 		r.Counter("red.invalidations", func() int64 { return c.s.Gamma.Invalidations })
 		r.Counter("red.rcount_updates", func() int64 { return c.s.Gamma.RCountUpdates })
 		r.Counter("red.zero_reuse_evict", func() int64 { return c.s.Gamma.ZeroReuseEvict })
 	}
-	if c.f.rcu {
+	if c.rcu != nil {
 		r.Gauge("red.rcu_occupancy", func() int64 { return int64(c.rcu.Len()) })
 		r.Counter("red.rcu_enqueued", func() int64 { return c.s.RCU.Enqueued })
 		r.Counter("red.rcu_piggyback", func() int64 { return c.s.RCU.Piggyback })

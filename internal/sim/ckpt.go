@@ -21,20 +21,11 @@ import (
 
 	"redcache/internal/ckpt"
 	"redcache/internal/config"
-	"redcache/internal/engine"
 	"redcache/internal/hbm"
 	"redcache/internal/trace"
 )
 
 const tagSim = 0x53494d31 // "SIM1"
-
-// ckptController is the checkpoint face a DRAM-cache controller
-// exposes; every architecture implements it (reference topologies just
-// have less state).
-type ckptController interface {
-	SaveState(*ckpt.Writer, *engine.FnRegistry) error
-	LoadState(*ckpt.Reader, *engine.FnRegistry) error
-}
 
 // manifest builds the provenance record for this machine.  Cycle and
 // Final are stamped by checkpoint().
@@ -79,15 +70,11 @@ func (m *machine) checkpoint(finalOp string) error {
 
 // saveState serializes every component in the canonical stream order.
 func (m *machine) saveState(w *ckpt.Writer) error {
-	_, _, _ = m.cfg, m.t, m.opts // the run's inputs: resupplied to buildMachine, pinned by the manifest
+	_, _, _, _ = m.cfg, m.arch, m.t, m.opts // the run's inputs: resupplied to buildMachine, pinned by the manifest
 	w.Tag(tagSim)
 	m.cx.SaveState(w)
-	if c, ok := m.ctl.(ckptController); ok {
-		if err := c.SaveState(w, m.reg); err != nil {
-			return err
-		}
-	} else {
-		return fmt.Errorf("sim: %s controller does not support checkpointing", m.arch)
+	if err := m.ctl.SaveState(w, m.reg); err != nil {
+		return err
 	}
 	w.Bool(m.hbmCtl != nil)
 	if m.hbmCtl != nil {
@@ -125,11 +112,7 @@ func (m *machine) loadState(r *ckpt.Reader) error {
 	if err := m.cx.LoadState(r); err != nil {
 		return err
 	}
-	c, ok := m.ctl.(ckptController)
-	if !ok {
-		return fmt.Errorf("sim: %s controller does not support checkpointing", m.arch)
-	}
-	if err := c.LoadState(r, m.reg); err != nil {
+	if err := m.ctl.LoadState(r, m.reg); err != nil {
 		return err
 	}
 	hasHBM := r.Bool()

@@ -108,6 +108,13 @@ func TestCheckpointResumeIdentity(t *testing.T) {
 		{"LU_Bear_serial", "LU", hbm.ArchBear, false},
 		{"LU_Ideal_serial", "LU", hbm.ArchIdeal, false},
 		{"LU_RedInSitu_serial_faults", "LU", hbm.ArchRedInSitu, true},
+		// α without the RCU or γ, γ without α, γ with masked r-count
+		// writes, and RCU block hits (BRN): each enables a different
+		// subset of the controller codec's components.
+		{"LU_RedAlpha_serial", "LU", hbm.ArchRedAlpha, false},
+		{"LU_RedGamma_serial_faults", "LU", hbm.ArchRedGamma, true},
+		{"LU_RedBasic_serial", "LU", hbm.ArchRedBasic, false},
+		{"BRN_RedCache_serial_faults", "BRN", hbm.ArchRedCache, true},
 	}
 	for _, c := range cases {
 		c := c

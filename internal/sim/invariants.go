@@ -6,12 +6,6 @@ import (
 	"redcache/internal/stats"
 )
 
-// invChecker is implemented by components that can audit their own
-// internal state; controllers expose it structurally rather than
-// through hbm.Controller so reference topologies without a tag store
-// simply lack the method.
-type invChecker interface{ CheckInvariants() error }
-
 // invariantRunner bundles one run's online invariant sweep: engine heap
 // order, FR-FCFS queue state on both channel models, tag-store/RCU CAM
 // consistency, and interface-counter sanity.  It runs as a periodic
@@ -25,16 +19,14 @@ type invariantRunner struct {
 }
 
 func newInvariantRunner(heapCheck func() error, hbmCtl, ddrCtl *dram.Controller,
-	ctl hbm.Controller, hbmIface, ddrIface *stats.Interface) *invariantRunner {
+	ctl *hbm.Controller, hbmIface, ddrIface *stats.Interface) *invariantRunner {
 	r := &invariantRunner{}
 	r.checks = append(r.checks, heapCheck, ddrCtl.CheckInvariants,
 		ddrIface.Check, hbmIface.Check)
 	if hbmCtl != nil {
 		r.checks = append(r.checks, hbmCtl.CheckInvariants)
 	}
-	if c, ok := ctl.(invChecker); ok {
-		r.checks = append(r.checks, c.CheckInvariants)
-	}
+	r.checks = append(r.checks, ctl.CheckInvariants)
 	return r
 }
 

@@ -13,7 +13,6 @@ import (
 	"redcache/internal/engine"
 	"redcache/internal/fault"
 	"redcache/internal/hbm"
-	"redcache/internal/mem"
 	"redcache/internal/obs"
 	"redcache/internal/stats"
 	"redcache/internal/trace"
@@ -135,7 +134,7 @@ type machine struct {
 	res    *Result
 	hbmCtl *dram.Controller
 	ddrCtl *dram.Controller
-	ctl    hbm.Controller
+	ctl    *hbm.Controller
 	inj    *fault.Injector
 	cx     *cpu.Complex
 	tel    *obs.Telemetry
@@ -207,11 +206,7 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 		return nil, err
 	}
 	m.ctl = ctl
-	if rf, ok := ctl.(interface {
-		RegisterFns(*engine.FnRegistry)
-	}); ok {
-		rf.RegisterFns(m.reg)
-	}
+	ctl.RegisterFns(m.reg)
 
 	if opts.Faults != nil {
 		// One injector is shared by the cache controller and both channel
@@ -224,12 +219,10 @@ func buildMachine(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Optio
 		if m.hbmCtl != nil {
 			m.hbmCtl.SetFaultInjector(m.inj)
 		}
-		if fc, ok := ctl.(interface{ SetFaultInjector(*fault.Injector) }); ok {
-			fc.SetFaultInjector(m.inj)
-		}
+		ctl.SetFaultInjector(m.inj)
 	}
 
-	m.cx = cpu.NewComplex(m.eng, cfg, t, submitFunc(func(req *mem.Request) { m.ctl.Submit(req) }))
+	m.cx = cpu.NewComplex(m.eng, cfg, t, ctl)
 	m.cx.RegisterFns(m.reg)
 
 	if opts.Telemetry != nil {
@@ -415,9 +408,3 @@ func Run(cfg *config.System, arch hbm.Arch, t *trace.Trace, opts *Options) (*Res
 	}
 	return m.complete()
 }
-
-// submitFunc adapts a function to cpu.Submitter.
-type submitFunc func(*mem.Request)
-
-// Submit implements cpu.Submitter.
-func (f submitFunc) Submit(req *mem.Request) { f(req) }
