@@ -452,9 +452,8 @@ func (u *rcuManager) loadState(r *ckpt.Reader) error {
 // SaveState serializes the controller: the counters, then the state of
 // each component the row enabled (New allocated it) in a fixed order,
 // then the op pool.  The policy row is configuration, pinned by the
-// manifest's arch.
-// rand.Rand's state is opaque, so the BAB sampler stream is saved as
-// its draw count and replayed from the seed at load.
+// manifest's arch.  rand.Rand's state is opaque, so the BAB sampler
+// stream is saved as its draw count and replayed from the seed at load.
 func (c *controller) SaveState(w *ckpt.Writer, reg *engine.FnRegistry) error {
 	_, _, _, _, _ = c.arch, c.p, c.d, c.tr, c.inj // configuration and wiring
 	w.Tag(tagHBM)
@@ -462,7 +461,7 @@ func (c *controller) SaveState(w *ckpt.Writer, reg *engine.FnRegistry) error {
 	if c.tags != nil {
 		c.tags.saveState(w)
 	}
-	if c.rng != nil { // re-seeded and replayed via draws at load
+	if c.rng != nil {
 		w.U64(c.draws)
 		w.F64(c.hitEWMA)
 		w.U64(c.sampleCtr)

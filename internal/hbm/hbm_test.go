@@ -94,6 +94,30 @@ func TestAllArchsHaveNames(t *testing.T) {
 	}
 }
 
+// TestRowsAllocateOnlyTheirComponents: New builds exactly the state a
+// policy row enables, so a row pays (in memory, checkpoint bytes,
+// probes and invariant checks) only for the mechanisms it simulates.
+func TestRowsAllocateOnlyTheirComponents(t *testing.T) {
+	for _, a := range All() {
+		c := newRig(t, a, nil).ctl
+		p := policies[a]
+		for _, h := range []struct {
+			what      string
+			has, want bool
+		}{
+			{"tag store", c.tags != nil, p.topo == tadCache},
+			{"alpha table", c.at != nil, p.alpha},
+			{"RCU", c.rcu != nil, p.rcount == rcRCU},
+			{"regret tracker", c.regret != nil, p.gamma},
+			{"BAB sampler", c.rng != nil, p.bab},
+		} {
+			if h.has != h.want {
+				t.Errorf("%s: %s allocated = %v, want %v", a, h.what, h.has, h.want)
+			}
+		}
+	}
+}
+
 func TestNoHBMUsesOnlyDDR(t *testing.T) {
 	r := newRig(t, ArchNoHBM, nil)
 	if d := r.access(0, mem.Read); d <= 0 {

@@ -139,12 +139,11 @@ func TestGammaAdaptsTowardObservedCounts(t *testing.T) {
 		cfg.Red.GammaMin = 2
 		cfg.Red.GammaMax = 64
 	})
-	red := r.ctl
 	for i := 0; i < 40; i++ {
 		r.access(0, mem.Read)
 	}
-	if red.gamma <= 8 {
-		t.Fatalf("γ = %d, should have risen toward high r-counts", red.gamma)
+	if r.ctl.gamma <= 8 {
+		t.Fatalf("γ = %d, should have risen toward high r-counts", r.ctl.gamma)
 	}
 }
 
@@ -155,15 +154,14 @@ func TestGammaDescendsSlowly(t *testing.T) {
 		cfg.Red.GammaMin = 2
 		cfg.Red.GammaMax = 64
 	})
-	red := r.ctl
 	// Eight low-count observations move γ down by one.
 	for i := 0; i < 8; i++ {
 		a := mem.Addr(i * 64)
 		r.access(a, mem.Read) // fill
 		r.access(a, mem.Read) // hit with r-count 1 << γ
 	}
-	if red.gamma != 31 {
-		t.Fatalf("γ = %d, want 31 after one slow step", red.gamma)
+	if r.ctl.gamma != 31 {
+		t.Fatalf("γ = %d, want 31 after one slow step", r.ctl.gamma)
 	}
 }
 
@@ -174,18 +172,17 @@ func TestRegretRaisesGamma(t *testing.T) {
 		cfg.Red.GammaMin = 2
 		cfg.Red.GammaMax = 64
 	})
-	red := r.ctl
 	r.access(0, mem.Read)
 	r.access(0, mem.Read)
 	r.access(0, mem.Read)
 	r.access(0, mem.Write) // invalidated (r-count > 2)
-	if red.s.Gamma.Invalidations != 1 {
-		t.Skipf("γ drifted before invalidation (γ=%d)", red.gamma)
+	if r.ctl.s.Gamma.Invalidations != 1 {
+		t.Skipf("γ drifted before invalidation (γ=%d)", r.ctl.gamma)
 	}
-	g := red.gamma
+	g := r.ctl.gamma
 	r.access(0, mem.Read) // regret: the invalidated block came back
-	if red.gamma < g+2 {
-		t.Fatalf("γ = %d, want >= %d after regret", red.gamma, g+2)
+	if r.ctl.gamma < g+2 {
+		t.Fatalf("γ = %d, want >= %d after regret", r.ctl.gamma, g+2)
 	}
 }
 
