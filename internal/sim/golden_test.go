@@ -109,6 +109,33 @@ func TestGoldenEveryArch(t *testing.T) {
 	}
 }
 
+// TestGoldenDeepQueue pins HIST on Alloy, the streaming pair whose HBM
+// FR-FCFS queues run deep, with the per-arch goldens' format and
+// observer set.  At this scale (config.Tiny: 2 HBM channels of 4
+// banks) the telemetry hbm.queue_depth gauge averages ~120 queued
+// transactions over the run (max 235; 90 of 94 epochs above 32, i.e.
+// above pickScan per channel), and ~85% of HBM scheduling decisions
+// see more than pickScan entries in the queue they pick from, ~29%
+// with row hits pending in two or more banks and ~1,200 with no row
+// hit at all.  Both FR-FCFS branches and the cross-bank choice of the
+// oldest row hit therefore decide this run.  LU and BRN never queue
+// that deep.
+//
+// Regenerate (only when a behaviour change is *intended* and reviewed):
+//
+//	REDCACHE_UPDATE_GOLDEN=1 go test ./internal/sim -run Golden
+func TestGoldenDeepQueue(t *testing.T) {
+	cfg := config.Tiny()
+	res, err := Run(cfg, hbm.ArchAlloy, ckptTrace(t, cfg, "HIST"), ckptOpts(true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := goldenString(res) +
+		fmt.Sprintf("Faults:%+v\n", *res.FaultStats) +
+		fmt.Sprintf("sha256:%x\n", sha256.Sum256([]byte(fullString(t, res))))
+	checkGolden(t, "golden_deep_HIST_Alloy.txt", got)
+}
+
 // checkGolden compares got against testdata/name, or rewrites the file
 // when REDCACHE_UPDATE_GOLDEN is set.
 func checkGolden(t *testing.T, name, got string) {
