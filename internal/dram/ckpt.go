@@ -80,7 +80,8 @@ func (rk *rank) loadState(r *ckpt.Reader) error {
 }
 
 // saveTxn serializes one queued transaction.  Loc is a pure function
-// of Addr (via Map) and is recomputed at load.
+// of Addr (via Map) and is recomputed at load, as is the bank index;
+// the queue links and sequence number are rebuilt by loadQueue.
 func (c *Controller) saveTxn(w *ckpt.Writer, reg *engine.FnRegistry, t *Txn) error {
 	_ = t.Loc // derived: recomputed from Addr by Map at load
 	w.U64(uint64(t.Addr))
@@ -116,6 +117,7 @@ func (c *Controller) loadTxn(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel
 		return nil, fmt.Errorf("dram: transaction op %d: %w", t.Op, ckpt.ErrCorrupt)
 	}
 	t.Loc = c.Map(t.Addr)
+	t.bank = c.bankIndex(t.Loc)
 	if key != 0 {
 		fn, ok := reg.TimedByKey(key)
 		if !ok {
@@ -131,25 +133,23 @@ func (c *Controller) loadTxn(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel
 
 // saveQueue serializes a transaction queue oldest-first.
 func (c *Controller) saveQueue(w *ckpt.Writer, reg *engine.FnRegistry, q *txnQueue) error {
-	w.Count(q.len())
-	for i := 0; i < q.len(); i++ {
-		if err := c.saveTxn(w, reg, q.at(i)); err != nil {
+	w.Count(q.n)
+	for t := q.head; t != nil; t = t.next {
+		if err := c.saveTxn(w, reg, t); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// loadQueue restores a transaction queue in saved order.
+// loadQueue restores a transaction queue in saved order, rebuilding the
+// bank index by pushing.
 func (c *Controller) loadQueue(r *ckpt.Reader, reg *engine.FnRegistry, ch *channel, q *txnQueue) error {
 	n := r.Count(c.MaxQueue)
 	if err := r.Err(); err != nil {
 		return err
 	}
-	q.head, q.n = 0, 0
-	for i := range q.buf {
-		q.buf[i] = nil
-	}
+	*q = newTxnQueue(c.banksPerChan)
 	for i := 0; i < n; i++ {
 		t, err := c.loadTxn(r, reg, ch)
 		if err != nil {

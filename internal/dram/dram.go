@@ -15,6 +15,7 @@ package dram
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"redcache/internal/config"
@@ -57,16 +58,26 @@ func (l Location) SameRow(o Location) bool {
 // Txn is one pending transaction.
 type Txn struct {
 	Addr   mem.Addr
-	Op     Op
-	Bytes  int
 	Arrive int64
 	Loc    Location
+	Bytes  int
+	onDone func(finish int64)
+
+	// Links of the txnQueue the transaction waits in: prev/next in the
+	// queue's arrival order, bprev/bnext in its bank's sub-list.
+	prev, next, bprev, bnext *Txn
+
+	Op Op
 	// Prio schedules a write with the reads instead of deferring it to a
 	// write-drain burst: it models an update the controller insists on
 	// performing immediately, paying the bus turnaround inline
 	// (Red-Basic's r-count writes).
-	Prio   bool
-	onDone func(finish int64)
+	Prio bool
+	// bank is Loc's bank within the channel, the index of the queue's
+	// bank sub-list the transaction sits on.
+	bank uint16
+	// seq is the transaction's arrival sequence number in its queue.
+	seq uint32
 }
 
 // bank is per-channel DRAM bank state.
@@ -87,64 +98,152 @@ type rank struct {
 	actIdx  int
 }
 
-// txnQueue is a power-of-two ring buffer of queued transactions.  The
-// FR-FCFS scheduler removes from arbitrary positions; removeAt shifts
-// whichever side is shorter, so the common oldest-first removal is O(1)
-// and no removal ever reallocates.  FIFO order (and therefore the
-// determinism contract) is preserved exactly: relative order of the
-// remaining transactions never changes.
+// txnQueue holds one channel's queued reads or writes in arrival order,
+// as a doubly linked list threaded through Txn.  Every transaction also
+// sits on its bank's sub-list, again in arrival order, so removing any
+// transaction is O(1) and never reorders the rest (the determinism
+// contract).  Each bank sub-list caches its oldest transaction for one
+// row; pickFrom keeps that row equal to the bank's open row, so the
+// oldest row hit in the whole queue is the oldest of at most
+// banksPerChan cached hits.
 type txnQueue struct {
-	buf  []*Txn
-	head int
+	head *Txn
+	//redvet:foldexempt — derived: the last transaction of the list; loadQueue rebuilds it by pushing
+	tail *Txn
 	n    int
+	//redvet:foldexempt — derived: only relative order matters, so loadQueue renumbers from zero by pushing
+	seq uint32 // the next arrival's sequence number
+	//redvet:foldexempt — derived: a partition of the list by Loc; loadQueue rebuilds it by pushing
+	banks []bankQueue
+}
+
+// bankQueue is one bank's sub-list of a txnQueue.
+type bankQueue struct {
+	head, tail *Txn
+	// hit is the oldest transaction on the sub-list whose row is hitRow,
+	// or nil if there is none.  Pushes and removals keep it exact for
+	// hitRow, whatever the bank's open row; pickFrom retargets it when
+	// the bank opens another row (an ACT) or closes it (a refresh).
+	hit    *Txn
+	hitRow int64
+	// hitSeq is hit's sequence number, or noSeq without a hit, so that
+	// pickFrom compares the banks' hits without loading them.
+	hitSeq uint32
+}
+
+// noSeq is above every sequence number: push renumbers the queue
+// before its counter reaches it.
+const noSeq = math.MaxUint32
+
+func newTxnQueue(banks int) txnQueue {
+	q := txnQueue{banks: make([]bankQueue, banks)}
+	for i := range q.banks {
+		q.banks[i].hitSeq = noSeq
+	}
+	return q
+}
+
+// setHit caches t (nil for none) as the sub-list's hit.
+//
+//redvet:hotpath
+func (bq *bankQueue) setHit(t *Txn) {
+	bq.hit, bq.hitSeq = t, noSeq
+	if t != nil {
+		bq.hitSeq = t.seq
+	}
 }
 
 //redvet:hotpath
 func (q *txnQueue) len() int { return q.n }
 
-//redvet:hotpath
-func (q *txnQueue) at(i int) *Txn { return q.buf[(q.head+i)&(len(q.buf)-1)] }
-
+// push appends t, which must carry its bank index, to the queue.
+//
 //redvet:hotpath
 func (q *txnQueue) push(t *Txn) {
-	if q.n == len(q.buf) {
-		q.grow()
+	if q.seq == noSeq {
+		q.renumber()
 	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = t
+	t.seq = q.seq
+	q.seq++
+	t.prev, t.next = q.tail, nil
+	if q.tail == nil {
+		q.head = t
+	} else {
+		q.tail.next = t
+	}
+	q.tail = t
 	q.n++
-}
 
-// grow doubles the ring (16 minimum), linearizing the live entries.
-//
-//redvet:coldstart — amortized ring growth up to the queue's high-water mark
-func (q *txnQueue) grow() {
-	grown := make([]*Txn, max(16, 2*len(q.buf)))
-	for i := 0; i < q.n; i++ {
-		grown[i] = q.at(i)
+	bq := &q.banks[t.bank]
+	t.bprev, t.bnext = bq.tail, nil
+	if bq.tail == nil {
+		bq.head = t
+	} else {
+		bq.tail.bnext = t
 	}
-	q.buf = grown
-	q.head = 0
+	bq.tail = t
+	if bq.hit == nil && t.Loc.Row == bq.hitRow {
+		bq.setHit(t)
+	}
 }
 
-// removeAt deletes the i-th oldest transaction, shifting the smaller
-// side of the ring toward the gap.
+// renumber reassigns sequence numbers from zero in queue order before
+// the counter would wrap, so sequence order stays arrival order.
 //
 //redvet:hotpath
-func (q *txnQueue) removeAt(i int) {
-	mask := len(q.buf) - 1
-	if i < q.n-1-i {
-		for j := i; j > 0; j-- {
-			q.buf[(q.head+j)&mask] = q.buf[(q.head+j-1)&mask]
-		}
-		q.buf[q.head] = nil
-		q.head = (q.head + 1) & mask
+func (q *txnQueue) renumber() {
+	q.seq = 0
+	for t := q.head; t != nil; t = t.next {
+		t.seq = q.seq
+		q.seq++
+	}
+	for i := range q.banks {
+		q.banks[i].setHit(q.banks[i].hit)
+	}
+}
+
+// remove unlinks t from the queue and its bank sub-list.
+//
+//redvet:hotpath
+func (q *txnQueue) remove(t *Txn) {
+	if t.prev == nil {
+		q.head = t.next
 	} else {
-		for j := i; j < q.n-1; j++ {
-			q.buf[(q.head+j)&mask] = q.buf[(q.head+j+1)&mask]
-		}
-		q.buf[(q.head+q.n-1)&mask] = nil
+		t.prev.next = t.next
+	}
+	if t.next == nil {
+		q.tail = t.prev
+	} else {
+		t.next.prev = t.prev
 	}
 	q.n--
+
+	bq := &q.banks[t.bank]
+	if bq.hit == t {
+		bq.setHit(firstOnRow(t.bnext, bq.hitRow))
+	}
+	if t.bprev == nil {
+		bq.head = t.bnext
+	} else {
+		t.bprev.bnext = t.bnext
+	}
+	if t.bnext == nil {
+		bq.tail = t.bprev
+	} else {
+		t.bnext.bprev = t.bprev
+	}
+	t.prev, t.next, t.bprev, t.bnext = nil, nil, nil, nil
+}
+
+// firstOnRow walks a bank sub-list from t to the first transaction for
+// row.
+//
+//redvet:hotpath
+func firstOnRow(t *Txn, row int64) *Txn {
+	for t != nil && t.Loc.Row != row {
+		t = t.bnext
+	}
+	return t
 }
 
 // channel is one independent command scheduler: its queues, ranks and
@@ -154,6 +253,8 @@ type channel struct {
 	drainWr     bool     // write-drain mode (watermark hysteresis)
 	drainBudget int      // writes remaining in the current drain burst
 	ranks       []rank
+	//redvet:foldexempt — wiring: every bank of the channel, indexed like a queue's bank sub-lists; the ranks' bank slices are windows of it, and their codecs cover every bank
+	banks       []bank
 	busFreeAt   int64 // data bus availability
 	lastColAt   int64 // last column command (tCCD)
 	lastOp      Op
@@ -228,14 +329,20 @@ func NewController(eng *engine.Engine, cfg config.DRAM, iface *stats.Interface) 
 	c.banksPerChan = g.RanksPerChan * g.BanksPerRank
 	c.bankShift = log2(c.banksPerChan)
 	c.bankMask = uint64(c.banksPerChan - 1)
+	if c.banksPerChan > math.MaxUint16+1 {
+		panic(fmt.Sprintf("dram: %d banks per channel exceed a Txn's bank index", c.banksPerChan))
+	}
 
 	c.chans = make([]channel, g.Channels)
 	for i := range c.chans {
 		ch := &c.chans[i]
+		ch.rdq = newTxnQueue(c.banksPerChan)
+		ch.wrq = newTxnQueue(c.banksPerChan)
 		ch.ranks = make([]rank, g.RanksPerChan)
+		ch.banks = make([]bank, c.banksPerChan)
 		for r := range ch.ranks {
 			rk := &ch.ranks[r]
-			rk.banks = make([]bank, g.BanksPerRank)
+			rk.banks = ch.banks[r*g.BanksPerRank : (r+1)*g.BanksPerRank : (r+1)*g.BanksPerRank]
 			// A large negative history means the tRRD/tFAW windows never
 			// constrain the first activations.
 			const farPast = -(int64(1) << 40)
@@ -371,6 +478,13 @@ func (c *Controller) Map(addr mem.Addr) Location {
 	}
 }
 
+// bankIndex numbers loc's bank within its channel.
+//
+//redvet:hotpath
+func (c *Controller) bankIndex(loc Location) uint16 {
+	return uint16(loc.Rank*c.cfg.Geometry.BanksPerRank + loc.Bank)
+}
+
 // Read enqueues a read of `bytes` at addr; onDone fires at data return.
 //
 //redvet:hotpath
@@ -449,7 +563,7 @@ func (c *Controller) enqueue(addr mem.Addr, op Op, bytes int, prio bool, onDone 
 	t := ch.getTxn()
 	t.Addr, t.Op, t.Bytes, t.Prio, t.onDone = addr, op, bytes, prio, onDone
 	t.Arrive = c.eng.Now()
-	t.Loc = loc
+	t.Loc, t.bank = loc, c.bankIndex(loc)
 	c.iface.Requests++
 	if ch.rdq.len()+ch.wrq.len() >= c.MaxQueue {
 		panic("dram: transaction queue overflow (missing upstream flow control)")
@@ -516,25 +630,35 @@ const pickScan = 16
 
 // pickFrom implements FR-FCFS within one queue: the oldest row-hit
 // transaction if any exists; otherwise, among the oldest pickScan
-// entries, the one whose bank lets it issue earliest.
+// entries, the one whose bank lets it issue earliest (the oldest on a
+// tie).  The oldest row hit is the queue head when the head hits, and
+// otherwise the cached hit with the smallest sequence number.
 //
 //redvet:hotpath
-func (c *Controller) pickFrom(ch *channel, q *txnQueue) int {
-	for i := 0; i < q.len(); i++ {
-		t := q.at(i)
-		b := &ch.ranks[t.Loc.Rank].banks[t.Loc.Bank]
-		if b.openRow == t.Loc.Row {
-			return i
+func (c *Controller) pickFrom(ch *channel, q *txnQueue) *Txn {
+	if h := q.head; h != nil && ch.banks[h.bank].openRow == h.Loc.Row {
+		return h // the oldest transaction is a row hit
+	}
+	var hit *Txn
+	hitSeq := uint32(noSeq)
+	banks := ch.banks[:len(q.banks)]
+	for i := range q.banks {
+		bq := &q.banks[i]
+		if open := banks[i].openRow; bq.hitRow != open {
+			bq.hitRow = open // the bank activated another row or refreshed
+			bq.setHit(firstOnRow(bq.head, open))
+		}
+		if bq.hitSeq < hitSeq {
+			hit, hitSeq = bq.hit, bq.hitSeq
 		}
 	}
-	best, bestAt := 0, int64(1)<<62
-	n := q.len()
-	if n > pickScan {
-		n = pickScan
+	if hit != nil {
+		return hit
 	}
-	for i := 0; i < n; i++ {
-		if at := c.readyAt(ch, q.at(i)); at < bestAt {
-			best, bestAt = i, at
+	best, bestAt := q.head, int64(1)<<62
+	for i, t := 0, q.head; i < pickScan && t != nil; i, t = i+1, t.next {
+		if at := c.readyAt(ch, t); at < bestAt {
+			best, bestAt = t, at
 		}
 	}
 	return best
@@ -599,8 +723,7 @@ func (c *Controller) trySchedule(chIdx int) {
 	}
 
 	q, isWrite := c.selectQueue(ch)
-	idx := c.pickFrom(ch, q)
-	t := q.at(idx)
+	t := c.pickFrom(ch, q)
 	if at := c.readyAt(ch, t); at > now+commitHorizon {
 		// Not issueable soon: leave it queued so a better candidate (a
 		// row hit arriving meanwhile) can overtake, and wake when this
@@ -608,7 +731,7 @@ func (c *Controller) trySchedule(chIdx int) {
 		c.wake(chIdx, at-commitHorizon)
 		return
 	}
-	q.removeAt(idx)
+	q.remove(t)
 	if isWrite && ch.drainWr {
 		ch.drainBudget--
 	}
