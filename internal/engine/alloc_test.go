@@ -11,18 +11,28 @@ import "testing"
 // instrumentation perturbs allocation accounting; the guards are
 // compiled out under -race.)
 
+// warmQueue schedules n events spread over cycles [0, n) and runs them,
+// so both the wheel's slab and the heap have grown past the capacity
+// the guards below need.
+func warmQueue(e *Engine, n int) {
+	arged := func(uint64) {}
+	for i := 0; i < n; i++ {
+		e.ScheduleArg(int64(i), arged, uint64(i))
+	}
+	e.Run()
+}
+
 // TestScheduleStepZeroAlloc pins Schedule→Step at 0 allocs/op once the
-// heap capacity is warm and the callback is pre-created.
+// queue capacity is warm and the callback is pre-created, with one
+// event on the wheel and one on the heap per iteration.
 func TestScheduleStepZeroAlloc(t *testing.T) {
 	e := New()
 	fn := func() {}
-	// Warm the heap slice past any capacity it will need.
-	for i := 0; i < 1024; i++ {
-		e.Schedule(int64(i), fn)
-	}
-	e.Run()
+	warmQueue(e, 1024)
 	if allocs := testing.AllocsPerRun(200, func() {
 		e.After(1, fn)
+		e.After(wheelSize+3, fn)
+		e.Step()
 		e.Step()
 	}); allocs != 0 {
 		t.Fatalf("Schedule+Step allocated %.1f allocs/op, want 0", allocs)
@@ -30,18 +40,20 @@ func TestScheduleStepZeroAlloc(t *testing.T) {
 }
 
 // TestScheduleVariantsZeroAlloc pins the fixed-argument and timed
-// variants at 0 allocs/op — the whole point of their existence.
+// variants at 0 allocs/op — the whole point of their existence — on
+// both the wheel and the heap.
 func TestScheduleVariantsZeroAlloc(t *testing.T) {
 	e := New()
 	timed := func(int64) {}
 	arged := func(uint64) {}
-	for i := 0; i < 1024; i++ {
-		e.ScheduleArg(int64(i), arged, uint64(i))
-	}
-	e.Run()
+	warmQueue(e, 1024)
 	if allocs := testing.AllocsPerRun(200, func() {
 		e.ScheduleTimed(e.Now()+1, timed)
 		e.ScheduleArg(e.Now()+1, arged, 7)
+		e.ScheduleTimed(e.Now()+wheelSize+1, timed)
+		e.ScheduleArg(e.Now()+2*wheelSize, arged, 7)
+		e.Step()
+		e.Step()
 		e.Step()
 		e.Step()
 	}); allocs != 0 {
@@ -85,14 +97,11 @@ func TestStepWithRegistryZeroAlloc(t *testing.T) {
 	reg.RegisterFn(Key(1, 0, 0), fn)
 	reg.RegisterTimed(Key(1, 0, 1), timed)
 	reg.RegisterArg(Key(1, 0, 2), arged)
-	for i := 0; i < 1024; i++ {
-		e.Schedule(int64(i), fn)
-	}
-	e.Run()
+	warmQueue(e, 1024)
 	if allocs := testing.AllocsPerRun(200, func() {
 		e.After(1, fn)
 		e.ScheduleTimed(e.Now()+1, timed)
-		e.ScheduleArg(e.Now()+1, arged, 7)
+		e.ScheduleArg(e.Now()+wheelSize, arged, 7)
 		e.Step()
 		e.Step()
 		e.Step()

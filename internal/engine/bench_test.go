@@ -1,6 +1,9 @@
 package engine
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 // BenchmarkEngineScheduleFire measures steady-state scheduler throughput:
 // 64 self-rescheduling "components" (closures created once, outside the
@@ -55,4 +58,44 @@ func BenchmarkEngineEndToEnd(b *testing.B) {
 		e.Run()
 	}
 	b.ReportMetric(float64(b.N)*eventsPerRun/b.Elapsed().Seconds(), "events/s")
+}
+
+// BenchmarkEngineMixedDelays measures the Step path on the delay mix
+// the simulator schedules (perfbench's three workloads, seed 1): about
+// half of all events due 0–1 cycles ahead, 40% due in 2–63, 10% in
+// 64–255, and 1% beyond the timing wheel's span, so both the wheel and
+// the heap run.  64 components reschedule themselves through a fixed
+// table of delays drawn once outside the timed region.
+func BenchmarkEngineMixedDelays(b *testing.B) {
+	const comps = 64
+	delays := make([]int64, 4096)
+	rng := rand.New(rand.NewSource(1))
+	for i := range delays {
+		switch p := rng.Intn(100); {
+		case p < 50:
+			delays[i] = int64(rng.Intn(2))
+		case p < 89:
+			delays[i] = 2 + int64(rng.Intn(62))
+		case p < 99:
+			delays[i] = 64 + int64(rng.Intn(192))
+		default:
+			delays[i] = wheelSize + int64(rng.Intn(4*wheelSize))
+		}
+	}
+	e := New()
+	next := 0
+	var fn func()
+	fn = func() {
+		e.After(delays[next], fn)
+		next = (next + 1) & (len(delays) - 1)
+	}
+	for i := 0; i < comps; i++ {
+		e.Schedule(int64(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.Step()
+	}
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "events/s")
 }

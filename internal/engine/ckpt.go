@@ -1,12 +1,12 @@
 package engine
 
-// Checkpoint support: the event heap stores bare func values, which
-// cannot be serialized — so every callback that can be live in a heap
+// Checkpoint support: the event queue stores bare func values, which
+// cannot be serialized — so every callback that can be live in a queue
 // (or an inbox) at a checkpoint boundary is registered once at wire-up
 // under a stable structural key.  Saving maps each queued event's func
 // value back to its key through funcval-pointer identity; loading
 // resolves keys against the freshly wired machine's registry, so a
-// restored heap fires the new machine's callbacks in the old order.
+// restored queue fires the new machine's callbacks in the old order.
 //
 // Keys are packed (component, a, b) triples: the component namespace
 // is fixed below, and a/b are structural indices (core number, slot
@@ -179,10 +179,10 @@ const (
 const maxHeapEvents = 1 << 28
 
 // SaveState serializes the engine: clock, sequence counter, fired
-// count, periodic bookkeeping, and the event heap as (at, seq, key,
-// arg) tuples in firing order.  Every queued callback must be
-// registered in reg, or the save fails — an unregistered callback
-// could never be rebound on restore.
+// count, periodic bookkeeping, and the queued events (wheel and heap
+// merged) as (at, seq, key, arg) tuples in firing order.  Every queued
+// callback must be registered in reg, or the save fails — an
+// unregistered callback could never be rebound on restore.
 func (e *Engine) SaveState(w *ckpt.Writer, reg *FnRegistry) error {
 	w.Tag(tagEngine)
 	w.I64(e.now)
@@ -190,7 +190,7 @@ func (e *Engine) SaveState(w *ckpt.Writer, reg *FnRegistry) error {
 	w.U64(e.Fired)
 	w.Int(e.periodicTicks)
 
-	evs := append([]Event(nil), e.events...)
+	evs := e.appendWheel(append([]Event(nil), e.events...))
 	sort.Slice(evs, func(i, j int) bool {
 		return before(evs[i].at, evs[i].seq, evs[j].at, evs[j].seq)
 	})
@@ -227,10 +227,12 @@ func (e *Engine) SaveState(w *ckpt.Writer, reg *FnRegistry) error {
 }
 
 // LoadState restores the engine into a freshly wired machine: the
-// wire-up's provisional events are discarded and the saved heap is
-// rebound against reg.  The tuples were saved in (at, seq) order, and
-// a sorted array is a valid min-heap under any arity, so the slice is
-// adopted directly.
+// wire-up's provisional events are discarded and the saved events are
+// rebound against reg and re-queued in their saved (at, seq) order,
+// which rebuilds the wheel's slot FIFOs in seq order and makes every
+// heap insertion a sift-free append.  An event before the saved clock or
+// beyond the saved sequence counter is rejected as corrupt: the
+// queue's order relies on neither ever happening.
 func (e *Engine) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
 	r.Tag(tagEngine)
 	e.now = r.I64()
@@ -242,10 +244,7 @@ func (e *Engine) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
 	if err := r.Err(); err != nil {
 		return err
 	}
-	e.events = e.events[:0]
-	if cap(e.events) < n {
-		e.events = make([]Event, 0, n)
-	}
+	e.clearQueue()
 	var prevAt int64
 	var prevSeq uint64
 	for i := 0; i < n; i++ {
@@ -259,6 +258,10 @@ func (e *Engine) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
 		}
 		if i > 0 && !before(prevAt, prevSeq, at, seq) {
 			return fmt.Errorf("engine: event %d out of (at, seq) order: %w", i, ckpt.ErrCorrupt)
+		}
+		if at < e.now || seq > e.seq {
+			return fmt.Errorf("engine: event %d at (%d, %d) lies outside the saved clock %d and sequence %d: %w",
+				i, at, seq, e.now, e.seq, ckpt.ErrCorrupt)
 		}
 		prevAt, prevSeq = at, seq
 		ev := Event{at: at, seq: seq, arg: arg}
@@ -275,7 +278,7 @@ func (e *Engine) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
 		if ev.fn == nil && ev.fnTimed == nil && ev.fnArg == nil {
 			return fmt.Errorf("engine: event %d references unknown callback key %#x: %w", i, key, ckpt.ErrCorrupt)
 		}
-		e.events = append(e.events, ev)
+		*e.reserve(at, seq) = ev
 	}
 
 	np := r.Count(1 << 16)
@@ -295,4 +298,23 @@ func (e *Engine) LoadState(r *ckpt.Reader, reg *FnRegistry) error {
 		p.stopped = r.Bool()
 	}
 	return r.Err()
+}
+
+// appendWheel appends every event linked into the wheel's slots to evs.
+func (e *Engine) appendWheel(evs []Event) []Event {
+	for s := range e.head {
+		for i := e.head[s]; i != 0; i = e.slab[i].next {
+			evs = append(evs, e.slab[i].ev)
+		}
+	}
+	return evs
+}
+
+// clearQueue drops every queued event, keeping the heap's capacity; the
+// wheel starts over with an empty slab.
+func (e *Engine) clearQueue() {
+	clear(e.events)
+	e.events = e.events[:0]
+	e.slab, e.free, e.wheelN = nil, 0, 0
+	e.head, e.tail, e.occ = [wheelSize]int32{}, [wheelSize]int32{}, [wheelWords]uint64{}
 }
